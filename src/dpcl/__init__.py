@@ -12,20 +12,19 @@ from .accountant import (
     compose_epsilon,
     step_log_moment,
 )
-from .data import Dataset, Example, TaskStream, load_idx_archive, make_permuted_stream, make_synthetic
+from .data import Dataset, TaskStream, load_idx_archive, make_permuted_stream, make_synthetic
 from .dp import NoiseConfig, add_noise, clip_grad
-from .memory import EpisodicMemory, MiniMemoryBlock, cal_gref_sample, membership_expectation_check, update_eps_mem
+from .memory import (
+    EpisodicMemory,
+    MiniMemoryBlock,
+    available_blocks,
+    membership_expectation_check,
+    sample_block,
+    sample_indices,
+    update_eps_mem,
+)
 from .metrics import AccuracyMatrix, LearningCurve, average_accuracy, forgetting, lca
 from .nn import DenseNet, accuracy, forward, grad, loss, per_example_grads
-from .trainer import (
-    ClipGranularity,
-    Mode,
-    ProjectionRule,
-    TrainConfig,
-    project_gradient,
-    run_stream,
-    train_task,
-    train_task_dp_agem,
-)
+from .trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream, train_task
 
 __all__ = [name for name in dir() if not name.startswith("_")]

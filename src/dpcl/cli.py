@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .accountant import Policy, TaskBudget, budget_lemma1, budget_lemma2
+from .accountant import DEFAULT_LAMBDA_MAX, Policy, TaskBudget, budget_lemma1, budget_lemma2
 from .data import load_idx_archive, make_permuted_stream, make_synthetic
 from .dp import NoiseConfig
-from .errors import ConfigError, InputError, NumericError, ParseError, StateError
+from .errors import ConfigError, InputError, NumericError, ParseError
 from .metrics import average_accuracy, forgetting, lca
 from .trainer import Mode, ProjectionRule, TrainConfig, run_stream
 
@@ -27,9 +27,10 @@ EXIT_NUMERIC = 3
 
 @dataclass
 class RunSpec:
-    """Everything needed to reproduce one `run` invocation."""
+    """Everything needed to reproduce one `run` invocation; the only home of
+    the `run` defaults (the parser supplies just the options given)."""
 
-    mode: str = "dp_cl"
+    mode: str = Mode.DP_CL.value
     tasks: int = 5
     epochs: int = 1
     batch: int | None = None
@@ -38,9 +39,9 @@ class RunSpec:
     sigma: float = 1.0
     clip: float = 0.1
     delta: float = 1e-4
-    lambda_max: int = 64
-    policy: str = "lemma2"
-    projection: str = "always"
+    lambda_max: int = DEFAULT_LAMBDA_MAX
+    policy: str = Policy.LEMMA2.value
+    projection: str = ProjectionRule.ALWAYS_EQ2.value
     seed: int = 0
     out: str = "runs/out"
     images: str | None = None
@@ -109,7 +110,7 @@ def cmd_run(spec: RunSpec) -> int:
         return EXIT_CONFIG
     try:
         result = run_stream(stream, cfg)
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -175,33 +176,34 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="dpcl")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="train through a task stream and emit CSVs")
-    run.add_argument("--mode", choices=[m.value for m in Mode], default="dp_cl")
-    run.add_argument("--tasks", type=int, default=5)
-    run.add_argument("--epochs", type=int, default=1)
-    run.add_argument("--batch", type=int, default=None)
-    run.add_argument("--ref-batch", type=int, default=50, dest="ref_batch")
-    run.add_argument("--sampling-rate", type=float, default=0.1, dest="sampling_rate")
-    run.add_argument("--sigma", type=float, default=1.0)
-    run.add_argument("--clip", type=float, default=0.1)
-    run.add_argument("--delta", type=float, default=1e-4)
-    run.add_argument("--lambda-max", type=int, default=64, dest="lambda_max")
-    run.add_argument("--policy", choices=["lemma1", "lemma2"], default="lemma2")
-    run.add_argument("--projection", choices=["always", "conflict"], default="always")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", default="runs/out")
-    run.add_argument("--images", default=None)
-    run.add_argument("--labels", default=None)
-    run.add_argument("--test-images", default=None, dest="test_images")
-    run.add_argument("--test-labels", default=None, dest="test_labels")
-    run.add_argument("--synth-dim", type=int, default=64, dest="synth_dim")
-    run.add_argument("--synth-classes", type=int, default=10, dest="synth_classes")
-    run.add_argument("--synth-per-class", type=int, default=60, dest="synth_per_class")
-    run.add_argument("--synth-margin", type=float, default=0.6, dest="synth_margin")
-    run.add_argument("--ref-fraction", type=float, default=0.1, dest="ref_fraction")
-    run.add_argument("--hidden", default="64,64")
-    run.add_argument("--lca-beta", type=int, default=10, dest="lca_beta")
-    run.add_argument("--learning-rate", type=float, default=0.1, dest="learning_rate")
+    run = sub.add_parser("run", help="train through a task stream and emit CSVs",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--mode", choices=[m.value for m in Mode])
+    run.add_argument("--tasks", type=int)
+    run.add_argument("--epochs", type=int)
+    run.add_argument("--batch", type=int)
+    run.add_argument("--ref-batch", type=int, dest="ref_batch")
+    run.add_argument("--sampling-rate", type=float, dest="sampling_rate")
+    run.add_argument("--sigma", type=float)
+    run.add_argument("--clip", type=float)
+    run.add_argument("--delta", type=float)
+    run.add_argument("--lambda-max", type=int, dest="lambda_max")
+    run.add_argument("--policy", choices=[p.value for p in Policy])
+    run.add_argument("--projection", choices=[r.value for r in ProjectionRule])
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out")
+    run.add_argument("--images")
+    run.add_argument("--labels")
+    run.add_argument("--test-images", dest="test_images")
+    run.add_argument("--test-labels", dest="test_labels")
+    run.add_argument("--synth-dim", type=int, dest="synth_dim")
+    run.add_argument("--synth-classes", type=int, dest="synth_classes")
+    run.add_argument("--synth-per-class", type=int, dest="synth_per_class")
+    run.add_argument("--synth-margin", type=float, dest="synth_margin")
+    run.add_argument("--ref-fraction", type=float, dest="ref_fraction")
+    run.add_argument("--hidden")
+    run.add_argument("--lca-beta", type=int, dest="lca_beta")
+    run.add_argument("--learning-rate", type=float, dest="learning_rate")
 
     curve = sub.add_parser("budget-curve", help="compare the two composition policies")
     curve.add_argument("--eps-mean", type=float, default=1.0, dest="eps_mean")
@@ -215,13 +217,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        fields = {k: v for k, v in vars(args).items() if k != "command"}
-        try:
-            spec = RunSpec(**fields)
-        except (ConfigError, TypeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        return cmd_run(spec)
+        return cmd_run(RunSpec(**{k: v for k, v in vars(args).items() if k != "command"}))
     return cmd_budget_curve(args.eps_mean, args.eps_std, args.tasks, args.seed, args.out)
 
 

@@ -13,14 +13,6 @@ IMAGE_MAGIC = 0x00000803  # 2051
 LABEL_MAGIC = 0x00000801  # 2049
 
 
-@dataclass(frozen=True)
-class Example:
-    """A single labelled sample: feature vector x and class index y."""
-
-    x: np.ndarray
-    y: int
-
-
 @dataclass
 class Dataset:
     """A batch of samples stored as dense arrays.
@@ -49,9 +41,6 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.x[idx], self.y[idx], self.num_classes)
-
-    def examples(self):
-        return [Example(self.x[i], int(self.y[i])) for i in range(len(self))]
 
 
 @dataclass
@@ -135,8 +124,8 @@ def make_synthetic(d, num_classes, n_per_class, margin, seed) -> Dataset:
     data, mirroring pixel datasets. The blob std is margin/12, so a
     nearest-centroid rule is essentially exact for margin >= 10 sigma.
     """
-    if num_classes > d:
-        raise ConfigError("need num_classes <= d for disjoint class blocks")
+    if not 1 <= num_classes <= d:
+        raise ConfigError("need 1 <= num_classes <= d for disjoint class blocks")
     if margin <= 0:
         raise ConfigError("margin must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(901,)))
@@ -183,6 +172,9 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
         pool = base.subset(rng.permutation(len(base)))
 
     n_ref = int(round(ref_fraction * len(pool)))
+    if not 0 < n_ref < len(pool):
+        raise ConfigError(f"ref_fraction {ref_fraction} splits {len(pool)} examples "
+                          f"into {len(pool) - n_ref} train and {n_ref} ref; both must be non-empty")
     tasks = []
     for t in range(1, n_tasks + 1):
         perm = np.arange(d) if t == 1 else rng.permutation(d)

@@ -1,7 +1,8 @@
 """Episodic memory made of per-task mini-memory blocks.
 
-One block is appended after each finished task; reference gradients sample a
-single uniformly-chosen block per step.
+One block is appended after each finished task. The sampling primitives here
+are the ones the trainer uses: the blocks available at a task, one uniformly
+chosen block, and a without-replacement draw of example indices.
 """
 
 from __future__ import annotations
@@ -45,26 +46,24 @@ def update_eps_mem(mem: EpisodicMemory, ref_data: Dataset, task_id: int) -> Epis
     return EpisodicMemory(mem.blocks + [MiniMemoryBlock(task_id, ref_data)])
 
 
-def sample_block_indices(mem: EpisodicMemory, current_task: int, ref_batch_size: int,
-                         rng: np.random.Generator):
-    """Uniform block choice among tasks < current_task, then a without-
-    replacement draw of min(ref_batch_size, block size) example indices."""
+def available_blocks(mem: EpisodicMemory, current_task: int) -> list:
+    """The blocks a reference gradient may read at current_task: 1..current_task-1."""
     if current_task < 2 or not mem.blocks:
         raise StateError("no reference blocks before task 2")
     avail = [b for b in mem.blocks if b.task_id < current_task]
     if len(avail) != current_task - 1:
         raise StateError(f"memory must hold blocks 1..{current_task - 1}")
-    block = avail[rng.integers(len(avail))]
-    k = min(ref_batch_size, len(block))
-    idx = rng.choice(len(block), size=k, replace=False)
-    return block, idx
+    return avail
 
 
-def cal_gref_sample(mem: EpisodicMemory, current_task: int, ref_batch_size: int,
-                    rng: np.random.Generator):
-    """Returns (block_id, batch: Dataset) for one reference-gradient step."""
-    block, idx = sample_block_indices(mem, current_task, ref_batch_size, rng)
-    return block.task_id, block.data.subset(idx)
+def sample_block(avail: list, rng: np.random.Generator) -> MiniMemoryBlock:
+    """One block chosen uniformly from avail."""
+    return avail[rng.integers(len(avail))]
+
+
+def sample_indices(block: MiniMemoryBlock, k: int, rng: np.random.Generator) -> np.ndarray:
+    """min(k, block size) example indices drawn without replacement."""
+    return rng.choice(len(block), size=min(k, len(block)), replace=False)
 
 
 def membership_expectation_check(mem: EpisodicMemory, current_task: int, q: float,
@@ -83,8 +82,9 @@ def membership_expectation_check(mem: EpisodicMemory, current_task: int, q: floa
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(301,)))
     if ref_batch_size == 0:
         return {key: 0.0 for key in counts}
+    avail = available_blocks(mem, current_task)
     for _ in range(trials):
-        block, idx = sample_block_indices(mem, current_task, ref_batch_size, rng)
-        for i in idx:
+        block = sample_block(avail, rng)
+        for i in sample_indices(block, ref_batch_size, rng):
             counts[(block.task_id, int(i))] += 1
     return {key: c / trials for key, c in counts.items()}

@@ -1,5 +1,7 @@
-"""Training loops: noiseless episodic-gradient baseline, the private
-single-block variant, and the naive all-blocks private variant.
+"""One training loop for the noiseless episodic-gradient baseline (agem), the
+private single-block variant (dp_cl) and the naive all-blocks private variant
+(dp_agem). The modes differ only in which stored blocks the reference
+gradient reads each step and in whether gradients are clipped and noised.
 
 All randomness is drawn from addressed substreams keyed by
 (role, task, step[, block]) under the run seed, so two runs with the same
@@ -21,7 +23,7 @@ from .accountant import DEFAULT_LAMBDA_MAX, Policy, PrivacyLedger
 from .data import TaskStream
 from .dp import NoiseConfig, add_noise, clip_grad
 from .errors import ConfigError
-from .memory import EpisodicMemory, update_eps_mem
+from .memory import EpisodicMemory, available_blocks, sample_block, sample_indices, update_eps_mem
 from .metrics import AccuracyMatrix, LearningCurve
 
 log = logging.getLogger(__name__)
@@ -45,11 +47,6 @@ class ProjectionRule(Enum):
     ONLY_IF_CONFLICT = "conflict"
 
 
-class ClipGranularity(Enum):
-    PER_EXAMPLE = "per_example"
-    PER_BATCH = "per_batch"
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     mode: Mode = Mode.DP_CL
@@ -59,7 +56,6 @@ class TrainConfig:
     epochs_per_task: int = 1         # steps per task = epochs * ceil(1/p)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     projection_rule: ProjectionRule = ProjectionRule.ALWAYS_EQ2
-    clip_granularity: ClipGranularity = ClipGranularity.PER_EXAMPLE
     hidden_dims: tuple = (64, 64)
     delta: float = 1e-4
     policy: Policy = Policy.LEMMA2
@@ -74,6 +70,14 @@ class TrainConfig:
             raise ConfigError("sampling_rate must be in (0, 1]")
         if self.ref_batch_size < 1 or self.epochs_per_task < 1:
             raise ConfigError("ref_batch_size and epochs_per_task must be >= 1")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError("delta must be in (0, 1)")
+        if self.lambda_max < 1:
+            raise ConfigError("lambda_max must be >= 1")
+        if self.lca_beta < 0:
+            raise ConfigError("lca_beta must be >= 0")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ConfigError("every hidden width must be >= 1")
 
     @property
     def steps_per_task(self):
@@ -101,52 +105,40 @@ def project_gradient(g, g_ref, rule: ProjectionRule) -> np.ndarray:
 
 
 def _private_batch_grad(net, batch, cfg: TrainConfig, noise_address):
-    beta = cfg.noise.clip_bound
-    if cfg.clip_granularity is ClipGranularity.PER_EXAMPLE:
-        per_ex = nn.per_example_grads(net, batch)
-        g = np.mean([clip_grad(gi, beta) for gi in per_ex], axis=0)
-    else:
-        g = clip_grad(nn.grad(net, batch), beta)
+    per_ex = nn.per_example_grads(net, batch)
+    g = np.mean([clip_grad(gi, cfg.noise.clip_bound) for gi in per_ex], axis=0)
     return add_noise(g, cfg.noise, noise_address)
 
 
-def _ref_grad_dp_cl(net, mem, task_id, step, cfg: TrainConfig, ledger):
-    """One uniformly chosen block; clip + noise mirrors the train gradient."""
-    avail = [b for b in mem.blocks if b.task_id < task_id]
-    block = avail[_rng(cfg.seed, _ROLE_BLOCK, task_id, step).integers(len(avail))]
-    k = min(cfg.ref_batch_size, len(block))
-    idx = _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block.task_id).choice(
-        len(block), size=k, replace=False)
-    batch = block.data.subset(idx)
-    g_ref = nn.grad(net, batch)
-    if cfg.mode is not Mode.AGEM:
-        g_ref = clip_grad(g_ref, cfg.noise.clip_bound)
-        g_ref = add_noise(g_ref, cfg.noise, (_ROLE_REF_NOISE, task_id, step, block.task_id))
-        if ledger is not None:
-            q_eff = (1.0 / len(avail)) * (k / len(block))
-            ledger.track_ref_step(task_id, block.task_id, q_eff)
-    return g_ref
-
-
-def _ref_grad_dp_agem(net, mem, task_id, step, cfg: TrainConfig, ledger):
-    """Every stored block contributes a clipped+noised gradient; average them."""
-    avail = [b for b in mem.blocks if b.task_id < task_id]
+def _ref_grad(net, mem, task_id, step, cfg: TrainConfig, ledger):
+    """Mean reference gradient over the blocks read this step: one uniformly
+    chosen block for agem and dp_cl, every stored block for dp_agem. Private
+    modes clip and noise each block's gradient and charge its sampling rate."""
+    avail = available_blocks(mem, task_id)
+    if cfg.mode is Mode.DP_AGEM:
+        blocks = avail
+    else:
+        blocks = [sample_block(avail, _rng(cfg.seed, _ROLE_BLOCK, task_id, step))]
     grads = []
-    for block in avail:
-        k = min(cfg.ref_batch_size, len(block))
-        idx = _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block.task_id).choice(
-            len(block), size=k, replace=False)
-        g_i = nn.grad(net, block.data.subset(idx))
-        g_i = clip_grad(g_i, cfg.noise.clip_bound)
-        g_i = add_noise(g_i, cfg.noise, (_ROLE_REF_NOISE, task_id, step, block.task_id))
-        if ledger is not None:
-            ledger.track_ref_step(task_id, block.task_id, k / len(block))
-        grads.append(g_i)
+    for block in blocks:
+        idx = sample_indices(block, cfg.ref_batch_size,
+                             _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block.task_id))
+        g = nn.grad(net, block.data.subset(idx))
+        if cfg.mode is not Mode.AGEM:
+            g = clip_grad(g, cfg.noise.clip_bound)
+            g = add_noise(g, cfg.noise, (_ROLE_REF_NOISE, task_id, step, block.task_id))
+            if ledger is not None:
+                q = len(idx) / len(block)
+                if cfg.mode is not Mode.DP_AGEM:
+                    q = (1.0 / len(avail)) * q
+                ledger.track_ref_step(task_id, block.task_id, q)
+        grads.append(g)
     return np.mean(grads, axis=0)
 
 
-def _train_task(net, train_data, mem, ledger, cfg: TrainConfig, task_id,
-                ref_fn, step_callback=None):
+def train_task(net, train_data, mem, ledger, cfg: TrainConfig, task_id, step_callback=None):
+    """Train net on one task; from task 2 on, every update is projected
+    against the reference gradient of the stored blocks."""
     n = len(train_data)
     p = cfg.sampling_rate
     params = net.get_params()
@@ -169,25 +161,13 @@ def _train_task(net, train_data, mem, ledger, cfg: TrainConfig, task_id,
         if task_id == 1 or len(mem) == 0:
             g_tilde = g
         else:
-            g_ref = ref_fn(net, mem, task_id, step, cfg, ledger)
+            g_ref = _ref_grad(net, mem, task_id, step, cfg, ledger)
             g_tilde = project_gradient(g, g_ref, cfg.projection_rule)
         params = params - cfg.learning_rate * g_tilde
         net.set_params(params)
     if step_callback is not None:
         step_callback(cfg.steps_per_task, net)
     return net
-
-
-def train_task(net, train_data, mem, ledger, cfg, task_id, step_callback=None):
-    """One task of the single-block algorithm (or the noiseless baseline)."""
-    return _train_task(net, train_data, mem, ledger, cfg, task_id,
-                       _ref_grad_dp_cl, step_callback)
-
-
-def train_task_dp_agem(net, train_data, mem, ledger, cfg, task_id, step_callback=None):
-    """One task of the naive variant that touches every block each step."""
-    return _train_task(net, train_data, mem, ledger, cfg, task_id,
-                       _ref_grad_dp_agem, step_callback)
 
 
 @dataclass
@@ -214,7 +194,6 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     mem = EpisodicMemory()
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
-    task_fn = train_task_dp_agem if cfg.mode is Mode.DP_AGEM else train_task
 
     for t, (train_split, ref_split, test_split, _) in enumerate(stream.tasks, start=1):
         ledger.register_task(t)
@@ -224,8 +203,8 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
             if step <= cfg.lca_beta:
                 _trace.append(nn.accuracy(net, _test))
 
-        net = task_fn(net, train_split, mem, ledger if track_privacy else None,
-                      cfg, t, step_callback=record)
+        net = train_task(net, train_split, mem, ledger if track_privacy else None,
+                         cfg, t, step_callback=record)
         traces.append(trace)
         mem = update_eps_mem(mem, ref_split, t)
         for j in range(1, t + 1):

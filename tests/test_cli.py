@@ -1,18 +1,22 @@
+import argparse
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from dpcl.accountant import TaskBudget, budget_lemma2
+from dpcl.accountant import Policy, TaskBudget, budget_lemma2
 from dpcl.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     RunSpec,
     budget_curve_table,
+    build_parser,
     cmd_budget_curve,
     cmd_run,
     main,
 )
+from dpcl.trainer import Mode, ProjectionRule
 
 ARTIFACTS = ["accuracy_matrix.csv", "metrics.csv", "budget_report.csv", "run_manifest.cfg"]
 
@@ -47,9 +51,55 @@ def test_run_deterministic_modulo_timestamp(tmp_path):
     assert strip(a) == strip(b)
 
 
-def test_run_invalid_config_exit_code(tmp_path):
-    spec = quick_spec(tmp_path / "bad", ref_fraction=2.0)
-    assert cmd_run(spec) == EXIT_CONFIG
+BAD_INPUTS = {
+    "ref_fraction_2": ["--ref-fraction", "2.0"],
+    "empty_ref_split": ["--ref-fraction", "0.001"],
+    "empty_train_split_batch": ["--ref-fraction", "0.999", "--batch", "10"],
+    "empty_train_split": ["--ref-fraction", "0.999"],
+    "no_examples": ["--synth-per-class", "0"],
+    "no_classes": ["--synth-classes", "0"],
+    "zero_hidden_width": ["--hidden", "0"],
+    "lambda_max_0": ["--lambda-max", "0"],
+    "delta_2": ["--delta", "2"],
+    "negative_lca_beta": ["--lca-beta", "-1"],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_run_invalid_config_exit_code(tmp_path, capsys, bad):
+    out = tmp_path / "bad"
+    code = main(["run", "--tasks", "2", "--epochs", "1", "--synth-per-class", "12",
+                 "--synth-classes", "3", "--synth-dim", "8", "--hidden", "8",
+                 "--out", str(out), *bad])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def _run_option(dest):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["run"]._actions if a.dest == dest)
+
+
+def test_run_defaults_live_in_run_spec():
+    args = build_parser().parse_args(["run"])
+    assert vars(args) == {"command": "run"}
+    assert RunSpec(**{k: v for k, v in vars(args).items() if k != "command"}) == RunSpec()
+    # every RunSpec field has a flag of the same name that round-trips its default
+    argv = ["run"]
+    for f in dataclasses.fields(RunSpec):
+        value = getattr(RunSpec(), f.name)
+        if value is not None:
+            argv += [f"--{f.name.replace('_', '-')}", str(value)]
+    args = build_parser().parse_args(argv)
+    assert RunSpec(**{k: v for k, v in vars(args).items() if k != "command"}) == RunSpec()
+
+
+def test_run_choices_come_from_enums():
+    assert _run_option("mode").choices == [e.value for e in Mode]
+    assert _run_option("policy").choices == [e.value for e in Policy]
+    assert _run_option("projection").choices == [e.value for e in ProjectionRule]
 
 
 def test_run_budget_report_matches_lemma2_composition(tmp_path):

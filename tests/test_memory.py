@@ -7,8 +7,10 @@ from dpcl.errors import StateError
 from dpcl.memory import (
     EpisodicMemory,
     MiniMemoryBlock,
-    cal_gref_sample,
+    available_blocks,
     membership_expectation_check,
+    sample_block,
+    sample_indices,
     update_eps_mem,
 )
 
@@ -53,50 +55,51 @@ def test_update_is_append_only():
 
 
 def test_cal_gref_single_block_always_chosen(rng):
-    mem = memory_with(1)
+    avail = available_blocks(memory_with(1), 2)
     for _ in range(20):
-        block_id, _ = cal_gref_sample(mem, 2, 4, rng)
-        assert block_id == 1
+        assert sample_block(avail, rng).task_id == 1
 
 
-def test_cal_gref_errors_on_first_task(rng):
+def test_cal_gref_errors_on_first_task():
     with pytest.raises(StateError):
-        cal_gref_sample(EpisodicMemory(), 1, 4, rng)
+        available_blocks(EpisodicMemory(), 1)
     with pytest.raises(StateError):
-        cal_gref_sample(memory_with(1), 1, 4, rng)
+        available_blocks(memory_with(1), 1)
 
 
 def test_cal_gref_block_frequencies(rng):
-    mem = memory_with(4)
+    avail = available_blocks(memory_with(4), 5)
     draws = 100_000
     counts = np.zeros(4)
     for _ in range(draws):
-        block_id, _ = cal_gref_sample(mem, 5, 2, rng)
-        counts[block_id - 1] += 1
+        counts[sample_block(avail, rng).task_id - 1] += 1
     tol = 3 * np.sqrt(0.25 * 0.75 / draws)
     assert np.all(np.abs(counts / draws - 0.25) <= tol)
 
 
 def test_cal_gref_uniform_chi_square(rng):
-    mem = memory_with(3)
+    avail = available_blocks(memory_with(3), 4)
     draws = 10_000
     counts = np.zeros(3)
     for _ in range(draws):
-        block_id, _ = cal_gref_sample(mem, 4, 2, rng)
-        counts[block_id - 1] += 1
+        counts[sample_block(avail, rng).task_id - 1] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.01
 
 
 def test_cal_gref_oversized_batch_returns_whole_block(rng):
-    mem = memory_with(2, size=5)
-    _, batch = cal_gref_sample(mem, 3, 50, rng)
-    assert len(batch) == 5
+    block = sample_block(available_blocks(memory_with(2, size=5), 3), rng)
+    assert len(sample_indices(block, 50, rng)) == 5
     # each element exactly once: use distinguishable feature rows
-    distinct = EpisodicMemory([MiniMemoryBlock(
-        1, Dataset(np.arange(5)[:, None] * 1.0, np.zeros(5, dtype=int), 1))])
-    _, batch = cal_gref_sample(distinct, 2, 50, rng)
+    distinct = MiniMemoryBlock(1, Dataset(np.arange(5)[:, None] * 1.0, np.zeros(5, dtype=int), 1))
+    batch = distinct.data.subset(sample_indices(distinct, 50, rng))
     assert sorted(batch.x[:, 0].tolist()) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_available_blocks_rejects_gap():
+    mem = EpisodicMemory([MiniMemoryBlock(1, block_data(1)), MiniMemoryBlock(3, block_data(3))])
+    with pytest.raises(StateError):
+        available_blocks(mem, 4)
 
 
 def test_membership_t2_q1_selects_everything():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcl import nn
+from dpcl.accountant import MomentState
 from dpcl.data import make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.memory import EpisodicMemory, update_eps_mem
@@ -15,10 +16,10 @@ from dpcl.trainer import (
     _ROLE_BATCH,
     _ROLE_BLOCK,
     _ROLE_REF_IDX,
+    _ref_grad,
     project_gradient,
     run_stream,
     train_task,
-    train_task_dp_agem,
 )
 
 
@@ -121,24 +122,50 @@ def test_first_task_never_touches_memory():
     assert result.report.total == result.ledger.task_budgets(cfg.delta)[0].eps_train
 
 
+def replayed(q, sigma, steps, lambda_max):
+    state = MomentState(lambda_max)
+    for _ in range(steps):
+        state.add_step(q, sigma)
+    return state
+
+
 def test_ledger_step_counts_match_loop_trips():
     stream = small_stream(3)
     cfg = TrainConfig(mode=Mode.DP_CL, hidden_dims=(8,), sampling_rate=0.25,
-                      epochs_per_task=5, seed=2)  # 20 steps per task
+                      epochs_per_task=5, ref_batch_size=4, seed=2)  # 20 steps per task
     assert cfg.steps_per_task == 20
     result = run_stream(stream, cfg)
     assert [result.ledger.train_states[t].steps for t in (1, 2, 3)] == [20, 20, 20]
     assert [result.ledger.ref_states_by_task[t].steps for t in (1, 2, 3)] == [0, 20, 20]
+    # one block of t-1 drawn per step, then k of its |block| examples
+    k, block = cfg.ref_batch_size, len(stream.tasks[0][1])
+    assert k < block
+    for t in (2, 3):
+        q = (1.0 / (t - 1)) * (k / block)
+        expected = replayed(q, cfg.noise.sigma, 20, cfg.lambda_max)
+        assert np.array_equal(result.ledger.ref_states_by_task[t].log_moments,
+                              expected.log_moments)
 
 
 def test_dp_agem_charges_every_block():
     stream = small_stream(3)
     cfg = TrainConfig(mode=Mode.DP_AGEM, hidden_dims=(8,), sampling_rate=0.25,
-                      epochs_per_task=5, seed=2)
+                      epochs_per_task=5, ref_batch_size=4, seed=2)
     result = run_stream(stream, cfg)
     by_block = result.ledger.ref_states_by_block
     assert by_block[1].steps == 40  # charged during tasks 2 and 3
     assert by_block[2].steps == 20  # charged during task 3 only
+    # every block is read each step, at rate k/|block| with no block draw
+    k, block = cfg.ref_batch_size, len(stream.tasks[0][1])
+    assert k < block
+    q = k / block
+    for t, steps in ((2, 20), (3, 40)):
+        expected = replayed(q, cfg.noise.sigma, steps, cfg.lambda_max)
+        assert np.array_equal(result.ledger.ref_states_by_task[t].log_moments,
+                              expected.log_moments)
+    for block_id, steps in ((1, 40), (2, 20)):
+        expected = replayed(q, cfg.noise.sigma, steps, cfg.lambda_max)
+        assert np.array_equal(by_block[block_id].log_moments, expected.log_moments)
 
 
 def test_dp_cl_and_dp_agem_coincide_with_single_block():
@@ -158,8 +185,7 @@ def test_dp_agem_noiseless_single_block_ref_gradient():
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
     mem = update_eps_mem(EpisodicMemory(), stream.tasks[0][1], 1)
-    from dpcl.trainer import _ref_grad_dp_agem
-    g_ref = _ref_grad_dp_agem(net, mem, 2, 0, cfg, None)
+    g_ref = _ref_grad(net, mem, 2, 0, cfg, None)
     # huge clip bound + sigma 0 + whole-block batch -> plain block gradient
     assert np.allclose(g_ref, nn.grad(net, mem.blocks[0].data), atol=1e-12)
 
