@@ -11,6 +11,11 @@ g + N(0, sigma^2) after Bernoulli(q) subsampling (sensitivity 1):
 with mu = (1-q) N(0, sigma^2) + q N(1, sigma^2) and mu0 = N(0, sigma^2).
 Moments add across steps; the (eps, delta) conversion is the standard tail
 bound eps = min_lam (alpha(lam) - ln delta) / lam.
+
+A step's moment vector depends only on (q, sigma), so each ledger computes
+it once per distinct (q, sigma) and every later step adds the stored
+vector. The states still sum step by step, so the moments are bitwise what
+re-evaluating the closed form at every step gives.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ class MomentState:
     lambda_max: int = DEFAULT_LAMBDA_MAX
     log_moments: np.ndarray = None
     steps: int = 0
+    # (q, sigma) -> per-step moment vector; states sharing it share lambda_max
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lambda_max < 1:
@@ -65,9 +72,11 @@ class MomentState:
             self.log_moments = np.zeros(self.lambda_max)
 
     def add_step(self, q, sigma):
-        self.log_moments = self.log_moments + np.array(
-            [step_log_moment(q, sigma, lam) for lam in range(1, self.lambda_max + 1)]
-        )
+        vec = self.memo.get((q, sigma))
+        if vec is None:
+            vec = self.memo[q, sigma] = np.array(
+                [step_log_moment(q, sigma, lam) for lam in range(1, self.lambda_max + 1)])
+        self.log_moments = self.log_moments + vec
         self.steps += 1
 
 
@@ -149,10 +158,11 @@ class PrivacyLedger:
     train_states: dict = field(default_factory=dict)
     ref_states_by_task: dict = field(default_factory=dict)
     ref_states_by_block: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _state(self, table, key):
         if key not in table:
-            table[key] = MomentState(self.lambda_max)
+            table[key] = MomentState(self.lambda_max, memo=self._memo)
         return table[key]
 
     def register_task(self, task_id):

@@ -105,7 +105,7 @@ def cmd_run(spec: RunSpec) -> int:
     try:
         stream = _build_stream(spec)
         cfg = _build_config(spec, len(stream.tasks[0][0]))
-    except (ConfigError, ParseError, InputError, ValueError) as exc:
+    except (ConfigError, ParseError, InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -126,8 +126,8 @@ def make_synthetic(d, num_classes, n_per_class, margin, seed) -> Dataset:
     """
     if not 1 <= num_classes <= d:
         raise ConfigError("need 1 <= num_classes <= d for disjoint class blocks")
-    if margin <= 0:
-        raise ConfigError("margin must be positive")
+    if not 0.0 < margin < np.inf:
+        raise ConfigError("margin must be finite and positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(901,)))
     block = d // num_classes
     means = np.zeros((num_classes, d))

@@ -18,10 +18,10 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
-        if self.clip_bound <= 0:
-            raise ConfigError("clip_bound must be positive")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigError("sigma must be finite and nonnegative")
+        if not 0.0 < self.clip_bound < np.inf:
+            raise ConfigError("clip_bound must be finite and positive")
 
 
 def clip_grad(g, beta) -> np.ndarray:

@@ -64,8 +64,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and positive")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ConfigError("sampling_rate must be in (0, 1]")
         if self.ref_batch_size < 1 or self.epochs_per_task < 1:

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import dpcl.accountant as accountant
 from dpcl.accountant import (
     MomentState,
     Policy,
@@ -224,3 +225,46 @@ def test_report_csv_round_trip(tmp_path):
     assert [int(r["task_id"]) for r in rows] == [1, 2, 3]
     assert [float(r["eps_task_at_T"]) for r in rows] == report.per_task
     assert float(rows[0]["total"]) == report.total
+
+
+def test_memoized_state_matches_uncached_loop_bitwise():
+    # interleaved rates, as a stored block sees across tasks
+    qs = [0.1, 0.05, 0.1, 1 / 3 * 0.2, 0.05, 0.1, 1 / 3 * 0.2] * 5
+    state = MomentState(16)
+    expected = np.zeros(16)
+    for q in qs:
+        state.add_step(q, 1.3)
+        expected = expected + np.array(
+            [step_log_moment(q, 1.3, lam) for lam in range(1, 17)])
+    assert state.steps == len(qs)
+    assert np.array_equal(state.log_moments, expected)
+
+
+def _track_three_tasks(ledger, steps_per_task):
+    for t in (1, 2, 3):
+        ledger.register_task(t)
+        for _ in range(steps_per_task):
+            ledger.track_training_step(t, 0.1)
+            for block in range(1, t):
+                ledger.track_ref_step(t, block, 0.05 / (t - 1))
+
+
+def test_ledger_evaluates_each_rate_once_per_ledger(monkeypatch):
+    calls = []
+    real = accountant.step_log_moment
+
+    def counting(q, sigma, lam):
+        calls.append((q, sigma, lam))
+        return real(q, sigma, lam)
+
+    monkeypatch.setattr(accountant, "step_log_moment", counting)
+    lambda_max = 8
+    per_ledger = lambda_max * 3  # (q, sigma): train 0.1, ref 0.05 and 0.025
+    first = PrivacyLedger(sigma=1.0, lambda_max=lambda_max)
+    _track_three_tasks(first, steps_per_task=5)
+    assert len(calls) == per_ledger
+    _track_three_tasks(first, steps_per_task=50)
+    assert len(calls) == per_ledger
+    # a fresh ledger pays for its own closed-form evaluations
+    _track_three_tasks(PrivacyLedger(sigma=1.0, lambda_max=lambda_max), steps_per_task=5)
+    assert len(calls) == 2 * per_ledger

@@ -62,6 +62,11 @@ BAD_INPUTS = {
     "lambda_max_0": ["--lambda-max", "0"],
     "delta_2": ["--delta", "2"],
     "negative_lca_beta": ["--lca-beta", "-1"],
+    "missing_archive": ["--images", "/nonexistent", "--labels", "/nonexistent"],
+    "sigma_nan": ["--sigma", "nan"],
+    "clip_inf": ["--clip", "inf"],
+    "synth_margin_nan": ["--synth-margin", "nan"],
+    "learning_rate_inf": ["--learning-rate", "inf"],
 }
 
 
