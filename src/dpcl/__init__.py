@@ -24,7 +24,7 @@ from .memory import (
     update_eps_mem,
 )
 from .metrics import AccuracyMatrix, LearningCurve, average_accuracy, forgetting, lca
-from .nn import DenseNet, accuracy, forward, grad, loss, per_example_grads
+from .nn import DenseNet, accuracy, clipped_mean_grad, forward, grad, loss
 from .trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream, train_task
 
 __all__ = [name for name in dir() if not name.startswith("_")]

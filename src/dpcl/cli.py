@@ -144,6 +144,8 @@ def budget_curve_table(eps_mean, eps_std, n_tasks, seed):
     drawn i.i.d. Gaussian per task."""
     if n_tasks < 1:
         raise ConfigError("number of tasks must be >= 1")
+    if not (np.isfinite(eps_mean) and np.isfinite(eps_std)):
+        raise ConfigError("eps_mean and eps_std must be finite")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(401,)))
     eps_train = eps_mean + eps_std * rng.standard_normal(n_tasks)
     eps_ref = eps_mean + eps_std * rng.standard_normal(n_tasks)

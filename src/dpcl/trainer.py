@@ -105,8 +105,7 @@ def project_gradient(g, g_ref, rule: ProjectionRule) -> np.ndarray:
 
 
 def _private_batch_grad(net, batch, cfg: TrainConfig, noise_address):
-    per_ex = nn.per_example_grads(net, batch)
-    g = np.mean([clip_grad(gi, cfg.noise.clip_bound) for gi in per_ex], axis=0)
+    g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound)
     return add_noise(g, cfg.noise, noise_address)
 
 

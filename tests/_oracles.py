@@ -2,7 +2,9 @@
 
 Everything here is deliberately written without reference to the package's
 own code paths: quadrature instead of the closed form, explicit loops
-instead of vectorized backprop, direct formula evaluation for the budgets.
+instead of vectorized backprop, an explicit (n x num_params) per-example
+gradient matrix instead of the ghost-norm clipped mean, direct formula
+evaluation for the budgets.
 """
 
 import numpy as np
@@ -70,3 +72,25 @@ def nearest_centroid_accuracy(dataset):
                           for c in range(dataset.num_classes)])
     d2 = ((dataset.x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return float((d2.argmin(axis=1) == dataset.y).mean())
+
+
+def per_example_grad_matrix(weights, biases, x, y):
+    """(n, num_params) matrix whose row i is the gradient of example i's own
+    softmax cross entropy, W then b layer by layer, built from explicit
+    per-example outer products."""
+    acts = [np.asarray(x, dtype=np.float64)]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    logits = acts[-1] @ weights[-1] + biases[-1]
+    # softmax as exp(log-softmax), so that saturated rows round as in training
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    delta = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    n = len(y)
+    delta[np.arange(n), y] -= 1.0
+    slabs = []
+    for layer in range(len(weights) - 1, -1, -1):
+        outer = np.einsum("ni,nj->nij", acts[layer], delta).reshape(n, -1)
+        slabs.insert(0, np.concatenate([outer, delta], axis=1))
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+    return np.concatenate(slabs, axis=1)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from dpcl.accountant import Policy, TaskBudget, budget_lemma2
+import dpcl.cli
 from dpcl.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     RunSpec,
     budget_curve_table,
@@ -78,6 +80,26 @@ def test_run_invalid_config_exit_code(tmp_path, capsys, bad):
                  "--out", str(out), *bad])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_nonfinite_feature_exits_numeric(tmp_path, capsys, monkeypatch, bad):
+    real = dpcl.cli.make_synthetic
+
+    def poisoned(*args):
+        base = real(*args)
+        base.x[:, 0] = bad
+        return base
+
+    monkeypatch.setattr(dpcl.cli, "make_synthetic", poisoned)
+    out = tmp_path / "nan"
+    code = main(["run", "--mode", "dp_cl", "--tasks", "2", "--epochs", "1",
+                 "--synth-per-class", "12", "--synth-classes", "3", "--synth-dim", "8",
+                 "--hidden", "8", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: ")
     assert not out.exists()
 
 
@@ -153,6 +175,25 @@ def test_lemma1_curve_dominates_lemma2():
 
 def test_budget_curve_rejects_bad_task_count(capsys):
     assert cmd_budget_curve(1.0, 0.0, 0, seed=0) == EXIT_CONFIG
+
+
+BAD_CURVE_INPUTS = {
+    "eps_mean_nan": ["--eps-mean", "nan"],
+    "eps_mean_inf": ["--eps-mean", "inf"],
+    "eps_std_inf": ["--eps-std", "inf"],
+    "eps_std_nan": ["--eps-std", "nan"],
+    "eps_std_neg_inf": ["--eps-std=-inf"],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CURVE_INPUTS.values(), ids=BAD_CURVE_INPUTS.keys())
+def test_budget_curve_rejects_nonfinite_eps(tmp_path, capsys, bad):
+    out = tmp_path / "curve.csv"
+    assert main(["budget-curve", "--out", str(out), *bad]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_budget_curve_csv_output(tmp_path, capsys):

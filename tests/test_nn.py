@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpcl.data import Dataset, make_synthetic
-from dpcl.errors import InputError
-from dpcl.nn import DenseNet, accuracy, forward, grad, loss, per_example_grads
+from dpcl.dp import clip_grad
+from dpcl.errors import ConfigError, InputError, NumericError
+from dpcl.nn import (
+    DenseNet,
+    _backward,
+    _example_sq_norms,
+    accuracy,
+    clipped_mean_grad,
+    forward,
+    grad,
+    loss,
+)
 
-from _oracles import finite_difference_grad, straight_line_forward
+from _oracles import finite_difference_grad, per_example_grad_matrix, straight_line_forward
 
 
 def zero_net(dims):
@@ -121,26 +131,95 @@ def test_grad_is_mean_over_examples():
     assert np.allclose(g, mean_of_parts, atol=1e-12)
 
 
+def oracle_matrix(net, data):
+    return per_example_grad_matrix(net.weights, net.biases, data.x, data.y)
+
+
+def fused_norms(net, data):
+    return np.sqrt(_example_sq_norms(*_backward(net, data)))
+
+
 def test_per_example_singleton():
     net = DenseNet.create([4, 3, 3], seed=5)
     data = make_synthetic(4, 3, 1, 0.6, seed=2).subset([0])
-    (only,) = per_example_grads(net, data)
+    (only,) = oracle_matrix(net, data)
     assert np.allclose(only, grad(net, data), atol=1e-15)
+    big = 2 * np.linalg.norm(only)
+    assert np.allclose(clipped_mean_grad(net, data, big), grad(net, data), atol=1e-15)
 
 
 def test_per_example_mean_consistency():
     net = DenseNet.create([4, 3, 3], seed=6)
     data = make_synthetic(4, 3, 3, 0.6, seed=8).subset(range(8))
-    stack = np.stack(per_example_grads(net, data))
+    stack = oracle_matrix(net, data)
     assert np.abs(stack.mean(axis=0) - grad(net, data)).max() <= 1e-10
 
 
 def test_per_example_duplicates_identical():
     net = DenseNet.create([4, 3, 3], seed=6)
     data = make_synthetic(4, 3, 2, 0.6, seed=8)
-    dup = data.subset([0, 0])
-    g0, g1 = per_example_grads(net, dup)
-    assert np.array_equal(g0, g1)
+    one, dup = data.subset([0]), data.subset([0, 0])
+    n0, n1 = fused_norms(net, dup)
+    assert n0 == n1
+    beta = n0 / 2  # clips the example
+    assert np.allclose(clipped_mean_grad(net, dup, beta), clipped_mean_grad(net, one, beta),
+                       rtol=0, atol=1e-15)
+
+
+# The fused path sums over examples with a matmul where the oracle builds
+# every row and then averages, so the two agree only up to rounding, about
+# n * 2^-52 of the largest per-example entry (worst seen: 5e-16 over 3,000
+# random nets and batches). 1e-12 of that entry leaves a wide margin and
+# still catches a wrong row, scale or clip factor.
+FUSED_TOL = 1e-12
+
+
+@st.composite
+def nets_and_batches(draw):
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    dims[-1] = max(dims[-1], 2)
+    net = DenseNet.create(dims, seed=draw(st.integers(0, 2**16)))
+    pool = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((pool, dims[0])) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    y = rng.integers(0, dims[-1], size=pool)
+    # indices drawn with replacement, so batches of 1 and duplicated rows occur
+    idx = draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=8))
+    return net, Dataset(x, y, dims[-1]).subset(idx)
+
+
+@given(case=nets_and_batches(), regime=st.sampled_from(["none", "some", "all"]),
+       frac=st.floats(0.05, 0.95))
+@settings(max_examples=150, deadline=None)
+def test_fused_paths_match_per_example_oracle(case, regime, frac):
+    net, data = case
+    oracle = oracle_matrix(net, data)
+    norms = np.linalg.norm(oracle, axis=1)
+    assume(norms.min() > 0)
+    beta = {"none": 2 * norms.max(), "all": frac * norms.min(),
+            "some": norms.min() + frac * (norms.max() - norms.min())}[regime]
+    scale = np.abs(oracle).max()
+
+    assert np.abs(fused_norms(net, data) - norms).max() <= FUSED_TOL * norms.max()
+    expected = np.mean([clip_grad(row, beta) for row in oracle], axis=0)
+    assert np.abs(clipped_mean_grad(net, data, beta) - expected).max() <= FUSED_TOL * scale
+    assert np.abs(grad(net, data) - oracle.mean(axis=0)).max() <= FUSED_TOL * scale
+
+
+def test_clipped_mean_grad_rejects_nonpositive_bound():
+    net = DenseNet.create([4, 3, 3], seed=0)
+    with pytest.raises(ConfigError):
+        clipped_mean_grad(net, make_synthetic(4, 3, 2, 0.6, seed=0), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clipped_mean_grad_raises_on_nonfinite_feature(bad):
+    net = DenseNet.create([4, 3, 3], seed=0)
+    data = make_synthetic(4, 3, 3, 0.6, seed=0)
+    data.x[4, 1] = bad
+    with pytest.raises(NumericError):
+        clipped_mean_grad(net, data, 0.1)
 
 
 def test_accuracy_perfect_and_crafted_zero():
