@@ -13,7 +13,7 @@ from .accountant import (
     step_log_moment,
 )
 from .data import Dataset, TaskStream, load_idx_archive, make_permuted_stream, make_synthetic
-from .dp import NoiseConfig, add_noise, clip_grad
+from .dp import NoiseConfig, add_noise
 from .memory import (
     EpisodicMemory,
     MiniMemoryBlock,

@@ -102,7 +102,12 @@ def _build_config(spec: RunSpec, train_size: int) -> TrainConfig:
 
 
 def cmd_run(spec: RunSpec) -> int:
+    out = Path(spec.out)
     try:
+        # fail before training when --out cannot become a directory
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out {out}: {nearest} is not a directory")
         stream = _build_stream(spec)
         cfg = _build_config(spec, len(stream.tasks[0][0]))
     except (ConfigError, ParseError, InputError, ValueError, OSError) as exc:
@@ -114,27 +119,28 @@ def cmd_run(spec: RunSpec) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    out = Path(spec.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result.matrix.write_csv(out / "accuracy_matrix.csv")
-
     t = stream.num_tasks
-    with open(out / "metrics.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value"])
-        for k in range(1, t + 1):
-            w.writerow([f"avg_accuracy_after_{k}", repr(average_accuracy(result.matrix, k))])
-        if t >= 2:
-            f_mean, f_worst = forgetting(result.matrix, t)
-            w.writerow(["forgetting", repr(f_mean)])
-            w.writerow(["worst_case_forgetting", repr(f_worst)])
-        beta = min(cfg.lca_beta, len(result.curve.z) - 1)
-        w.writerow(["lca", repr(lca(result.curve, beta))])
-
-    result.report.write_csv(out / "budget_report.csv",
-                            result.ledger.task_budgets(cfg.delta))
-    with open(out / "run_manifest.cfg", "w") as f:
-        f.write("\n".join(spec.manifest_lines()) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        result.matrix.write_csv(out / "accuracy_matrix.csv")
+        with open(out / "metrics.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["metric", "value"])
+            for k in range(1, t + 1):
+                w.writerow([f"avg_accuracy_after_{k}", repr(average_accuracy(result.matrix, k))])
+            if t >= 2:
+                f_mean, f_worst = forgetting(result.matrix, t)
+                w.writerow(["forgetting", repr(f_mean)])
+                w.writerow(["worst_case_forgetting", repr(f_worst)])
+            beta = min(cfg.lca_beta, len(result.curve.z) - 1)
+            w.writerow(["lca", repr(lca(result.curve, beta))])
+        result.report.write_csv(out / "budget_report.csv",
+                                result.ledger.task_budgets(cfg.delta))
+        with open(out / "run_manifest.cfg", "w") as f:
+            f.write("\n".join(spec.manifest_lines()) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote artifacts to {out}")
     return EXIT_OK
 
@@ -144,6 +150,8 @@ def budget_curve_table(eps_mean, eps_std, n_tasks, seed):
     drawn i.i.d. Gaussian per task."""
     if n_tasks < 1:
         raise ConfigError("number of tasks must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     if not (np.isfinite(eps_mean) and np.isfinite(eps_std)):
         raise ConfigError("eps_mean and eps_std must be finite")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(401,)))
@@ -160,15 +168,15 @@ def budget_curve_table(eps_mean, eps_std, n_tasks, seed):
 def cmd_budget_curve(eps_mean, eps_std, n_tasks, seed, out=None) -> int:
     try:
         rows = budget_curve_table(eps_mean, eps_std, n_tasks, seed)
-    except ConfigError as exc:
+        lines = [["T", "lemma1_total", "lemma2_total"]]
+        lines += [[t, repr(a), repr(b)] for t, a, b in rows]
+        if out:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            with open(out, "w", newline="") as f:
+                csv.writer(f).writerows(lines)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    lines = [["T", "lemma1_total", "lemma2_total"]]
-    lines += [[t, repr(a), repr(b)] for t, a, b in rows]
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="") as f:
-            csv.writer(f).writerows(lines)
     for row in lines:
         print(",".join(str(v) for v in row))
     return EXIT_OK

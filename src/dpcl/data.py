@@ -170,6 +170,8 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
         pool = base.subset(split[n_test:])
     else:
         pool = base.subset(rng.permutation(len(base)))
+    if len(test) == 0:
+        raise ConfigError("the test split is empty")
 
     n_ref = int(round(ref_fraction * len(pool)))
     if not 0 < n_ref < len(pool):

@@ -1,4 +1,4 @@
-"""Gradient clipping and addressed Gaussian noise injection."""
+"""Noise configuration and addressed Gaussian noise injection."""
 
 from __future__ import annotations
 
@@ -22,19 +22,6 @@ class NoiseConfig:
             raise ConfigError("sigma must be finite and nonnegative")
         if not 0.0 < self.clip_bound < np.inf:
             raise ConfigError("clip_bound must be finite and positive")
-
-
-def clip_grad(g, beta) -> np.ndarray:
-    """Rescale g to L2 norm at most beta: g * min(1, beta/||g||)."""
-    if beta <= 0:
-        raise ConfigError("clip bound must be positive")
-    g = np.asarray(g, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("gradient contains NaN/Inf")
-    norm = np.linalg.norm(g)
-    if norm <= beta:
-        return g
-    return g * (beta / norm)
 
 
 def noise_rng(seed, address=()) -> np.random.Generator:

@@ -143,8 +143,8 @@ def grad(net: DenseNet, batch) -> np.ndarray:
 
 
 def clipped_mean_grad(net: DenseNet, batch, beta) -> np.ndarray:
-    """Mean of the per-example gradients, each clipped as dp.clip_grad does,
-    g_i * min(1, beta/||g_i||), without building any g_i. Raises
+    """Mean of the per-example gradients, each clipped to L2 norm at most
+    beta as g_i * min(1, beta/||g_i||), without building any g_i. Raises
     NumericError when some ||g_i|| is not finite."""
     if beta <= 0:
         raise ConfigError("clip bound must be positive")

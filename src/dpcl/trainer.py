@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .accountant import DEFAULT_LAMBDA_MAX, Policy, PrivacyLedger
 from .data import TaskStream
-from .dp import NoiseConfig, add_noise, clip_grad
+from .dp import NoiseConfig, add_noise
 from .errors import ConfigError
 from .memory import EpisodicMemory, available_blocks, sample_block, sample_indices, update_eps_mem
 from .metrics import AccuracyMatrix, LearningCurve
@@ -104,15 +104,20 @@ def project_gradient(g, g_ref, rule: ProjectionRule) -> np.ndarray:
     return g - (dot / denom) * g_ref
 
 
-def _private_batch_grad(net, batch, cfg: TrainConfig, noise_address):
+def _batch_grad(net, batch, cfg: TrainConfig, noise_address):
+    """The gradient one step releases for a batch: the plain mean for agem;
+    otherwise the mean of the per-example clipped gradients plus noise."""
+    if cfg.mode is Mode.AGEM:
+        return nn.grad(net, batch)
     g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound)
     return add_noise(g, cfg.noise, noise_address)
 
 
 def _ref_grad(net, mem, task_id, step, cfg: TrainConfig, ledger):
     """Mean reference gradient over the blocks read this step: one uniformly
-    chosen block for agem and dp_cl, every stored block for dp_agem. Private
-    modes clip and noise each block's gradient and charge its sampling rate."""
+    chosen block for agem and dp_cl, every stored block for dp_agem. Each
+    block's batch goes through _batch_grad, and private modes charge its
+    sampling rate."""
     avail = available_blocks(mem, task_id)
     if cfg.mode is Mode.DP_AGEM:
         blocks = avail
@@ -122,16 +127,13 @@ def _ref_grad(net, mem, task_id, step, cfg: TrainConfig, ledger):
     for block in blocks:
         idx = sample_indices(block, cfg.ref_batch_size,
                              _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block.task_id))
-        g = nn.grad(net, block.data.subset(idx))
-        if cfg.mode is not Mode.AGEM:
-            g = clip_grad(g, cfg.noise.clip_bound)
-            g = add_noise(g, cfg.noise, (_ROLE_REF_NOISE, task_id, step, block.task_id))
-            if ledger is not None:
-                q = len(idx) / len(block)
-                if cfg.mode is not Mode.DP_AGEM:
-                    q = (1.0 / len(avail)) * q
-                ledger.track_ref_step(task_id, block.task_id, q)
-        grads.append(g)
+        grads.append(_batch_grad(net, block.data.subset(idx), cfg,
+                                 (_ROLE_REF_NOISE, task_id, step, block.task_id)))
+        if ledger is not None:
+            q = len(idx) / len(block)
+            if cfg.mode is not Mode.DP_AGEM:
+                q = (1.0 / len(avail)) * q
+            ledger.track_ref_step(task_id, block.task_id, q)
     return np.mean(grads, axis=0)
 
 
@@ -148,11 +150,8 @@ def train_task(net, train_data, mem, ledger, cfg: TrainConfig, task_id, step_cal
         if ledger is not None:
             ledger.track_training_step(task_id, p)
         if mask.any():
-            batch = train_data.subset(np.flatnonzero(mask))
-            if cfg.mode is Mode.AGEM:
-                g = nn.grad(net, batch)
-            else:
-                g = _private_batch_grad(net, batch, cfg, (_ROLE_TRAIN_NOISE, task_id, step))
+            g = _batch_grad(net, train_data.subset(np.flatnonzero(mask)), cfg,
+                            (_ROLE_TRAIN_NOISE, task_id, step))
         else:
             g = np.zeros(net.num_params)
             if cfg.mode is not Mode.AGEM:

@@ -3,8 +3,8 @@
 Everything here is deliberately written without reference to the package's
 own code paths: quadrature instead of the closed form, explicit loops
 instead of vectorized backprop, an explicit (n x num_params) per-example
-gradient matrix instead of the ghost-norm clipped mean, direct formula
-evaluation for the budgets.
+gradient matrix clipped row by row instead of the ghost-norm clipped mean,
+direct formula evaluation for the budgets.
 """
 
 import numpy as np
@@ -72,6 +72,12 @@ def nearest_centroid_accuracy(dataset):
                           for c in range(dataset.num_classes)])
     d2 = ((dataset.x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return float((d2.argmin(axis=1) == dataset.y).mean())
+
+
+def clip_vector(g, beta):
+    """Rescale g to L2 norm at most beta: g * min(1, beta/||g||)."""
+    norm = np.linalg.norm(g)
+    return g if norm <= beta else g * (beta / norm)
 
 
 def per_example_grad_matrix(weights, biases, x, y):

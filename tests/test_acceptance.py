@@ -19,13 +19,13 @@ import conftest
 from dpcl.accountant import MomentState, compose_epsilon, step_log_moment
 from dpcl.cli import budget_curve_table
 from dpcl.data import Dataset, make_synthetic, make_permuted_stream
-from dpcl.dp import NoiseConfig, add_noise, clip_grad
+from dpcl.dp import NoiseConfig, add_noise
 from dpcl.memory import EpisodicMemory, membership_expectation_check, update_eps_mem
 from dpcl.metrics import average_accuracy, forgetting
-from dpcl.nn import DenseNet, grad, loss
+from dpcl.nn import DenseNet, clipped_mean_grad, grad, loss
 from dpcl.trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream
 
-from _oracles import finite_difference_grad, quad_log_moment
+from _oracles import finite_difference_grad, per_example_grad_matrix, quad_log_moment
 
 
 def _announce(line):
@@ -96,9 +96,17 @@ def test_gradient_exactness():
 def test_clipping_and_noise():
     rng = np.random.default_rng(2)
     beta = 0.1
-    for _ in range(10_000):
-        g = rng.standard_normal(rng.integers(1, 30)) * 10 ** rng.uniform(-3, 3)
-        assert np.linalg.norm(clip_grad(g, beta)) <= beta + 1e-12
+    norms = []
+    for _ in range(2_000):
+        dims = [rng.integers(1, 8), rng.integers(1, 8), rng.integers(2, 5)]
+        net = DenseNet.create(dims, seed=int(rng.integers(2**16)))
+        n = rng.integers(1, 9)
+        x = rng.standard_normal((n, dims[0])) * 10 ** rng.uniform(-3, 3)
+        batch = Dataset(x, rng.integers(0, dims[-1], n), dims[-1])
+        norms.extend(np.linalg.norm(
+            per_example_grad_matrix(net.weights, net.biases, batch.x, batch.y), axis=1))
+        assert np.linalg.norm(clipped_mean_grad(net, batch, beta)) <= beta + 1e-12
+    assert min(norms) <= 1e-3 and max(norms) >= 1e3
     sigma = 1.0
     cfg = NoiseConfig(sigma=sigma, clip_bound=beta, seed=3)
     draws = add_noise(np.zeros(100_000), cfg, (0,))

@@ -69,6 +69,8 @@ BAD_INPUTS = {
     "clip_inf": ["--clip", "inf"],
     "synth_margin_nan": ["--synth-margin", "nan"],
     "learning_rate_inf": ["--learning-rate", "inf"],
+    "empty_test_split": ["--synth-dim", "2", "--synth-classes", "2", "--synth-per-class", "1",
+                         "--ref-fraction", "0.5"],
 }
 
 
@@ -101,6 +103,33 @@ def test_run_nonfinite_feature_exits_numeric(tmp_path, capsys, monkeypatch, bad)
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numeric failure: ")
     assert not out.exists()
+
+
+def test_run_out_under_a_file_exits_config_before_training(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    monkeypatch.setattr(dpcl.cli, "run_stream", lambda *a: pytest.fail("trained"))
+    assert cmd_run(quick_spec(blocker / "run")) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == "keep"
+
+
+def test_run_unwritable_artifact_exits_config(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "metrics.csv").mkdir()  # a directory where a file must go
+    assert cmd_run(quick_spec(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_budget_curve_out_under_a_file_exits_config(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    assert main(["budget-curve", "--out", str(blocker / "curve.csv")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert blocker.read_text() == "keep"
 
 
 def _run_option(dest):
@@ -183,6 +212,7 @@ BAD_CURVE_INPUTS = {
     "eps_std_inf": ["--eps-std", "inf"],
     "eps_std_nan": ["--eps-std", "nan"],
     "eps_std_neg_inf": ["--eps-std=-inf"],
+    "negative_seed": ["--seed", "-1"],
 }
 
 

@@ -112,6 +112,14 @@ def test_stream_rejects_bad_ref_fraction():
         make_permuted_stream(base, 2, seed=0, ref_fraction=1.5)
 
 
+def test_stream_rejects_empty_test_split():
+    base = make_synthetic(6, 3, 5, 0.6, seed=0)
+    with pytest.raises(ConfigError):  # carved: round(0.02 * 15) == 0
+        make_permuted_stream(base, 2, seed=0, test_fraction=0.02)
+    with pytest.raises(ConfigError):  # given
+        make_permuted_stream(base, 2, seed=0, test=base.subset([]))
+
+
 def test_synthetic_nearest_centroid_is_exact():
     ds = make_synthetic(10, 4, 50, 0.6, seed=5)
     assert nearest_centroid_accuracy(ds) == 1.0

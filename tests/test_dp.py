@@ -2,48 +2,67 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from dpcl.dp import NoiseConfig, add_noise, clip_grad, noise_rng
+from dpcl.data import Dataset
+from dpcl.dp import NoiseConfig, add_noise, noise_rng
 from dpcl.errors import ConfigError, NumericError
+from dpcl.nn import DenseNet, clipped_mean_grad, grad
 
-finite_vectors = arrays(
-    np.float64, st.integers(1, 20),
-    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-)
+from _oracles import clip_vector
+
+# Clipping has one implementation, nn.clipped_mean_grad; on a one-example
+# batch it is the per-vector rule g * min(1, beta/||g||).
+
+
+def hand_net():
+    """[1, 2] net with zero parameters: on x = 1, y = 0 the softmax is
+    (1/2, 1/2), so the gradient (W then b) is (-1/2, 1/2, -1/2, 1/2), norm 1."""
+    net = DenseNet.create([1, 2], seed=0)
+    net.set_params(np.zeros(net.num_params))
+    return net, Dataset(np.ones((1, 1)), np.zeros(1, dtype=int), 2)
 
 
 def test_clip_untouched_inside_bound():
-    g = np.array([3.0, 4.0])
-    assert np.array_equal(clip_grad(g, 10.0), g)
+    net, one = hand_net()
+    assert np.array_equal(clipped_mean_grad(net, one, 10.0), [-0.5, 0.5, -0.5, 0.5])
 
 
 def test_clip_rescales_to_bound():
-    out = clip_grad(np.array([3.0, 4.0]), 1.0)
-    assert np.allclose(out, [0.6, 0.8], atol=1e-15)
+    net, one = hand_net()
+    out = clipped_mean_grad(net, one, 0.5)
+    assert np.allclose(out, [-0.25, 0.25, -0.25, 0.25], atol=1e-15)
 
 
 def test_clip_zero_vector():
-    assert np.array_equal(clip_grad(np.zeros(5), 0.5), np.zeros(5))
+    # one class: the softmax is 1 on the label, so every gradient is zero
+    net = DenseNet.create([4, 3, 1], seed=0)
+    one = Dataset(np.ones((1, 4)), np.zeros(1, dtype=int), 1)
+    assert np.array_equal(clipped_mean_grad(net, one, 0.5), np.zeros(net.num_params))
 
 
 def test_clip_rejects_bad_inputs():
+    net, one = hand_net()
     with pytest.raises(ConfigError):
-        clip_grad(np.ones(3), 0.0)
+        clipped_mean_grad(net, one, 0.0)
+    one.x[0, 0] = np.nan
     with pytest.raises(NumericError):
-        clip_grad(np.array([1.0, np.nan]), 1.0)
+        clipped_mean_grad(net, one, 1.0)
 
 
-@given(g=finite_vectors, beta=st.floats(1e-6, 1e3))
+@given(seed=st.integers(0, 2**16), log_scale=st.floats(-3, 3), beta=st.floats(1e-6, 1e3))
 @settings(max_examples=200, deadline=None)
-def test_clip_norm_bound_and_idempotence(g, beta):
-    clipped = clip_grad(g, beta)
+def test_clip_norm_bound_and_idempotence(seed, log_scale, beta):
+    rng = np.random.default_rng(seed)
+    net = DenseNet.create([4, 3, 3], seed=seed)
+    one = Dataset(rng.standard_normal((1, 4)) * 10**log_scale, rng.integers(0, 3, 1), 3)
+    g = grad(net, one)
+    clipped = clipped_mean_grad(net, one, beta)
     assert np.linalg.norm(clipped) <= beta + 1e-12
     # idempotent up to one rounding step of the rescale factor
-    assert np.allclose(clip_grad(clipped, beta), clipped, rtol=1e-14, atol=0.0)
-    if np.linalg.norm(g) <= beta:
-        assert np.array_equal(clip_grad(g, beta), g)
+    assert np.allclose(clip_vector(clipped, beta), clipped, rtol=1e-14, atol=0.0)
+    if np.linalg.norm(g) <= beta * (1 - 1e-12):  # clear of the ghost norm's rounding
+        assert np.array_equal(clipped, g)
     # direction preserved
     if np.linalg.norm(g) > 0 and np.linalg.norm(clipped) > 0:
         cos = g @ clipped / (np.linalg.norm(g) * np.linalg.norm(clipped))

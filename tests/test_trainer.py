@@ -16,6 +16,7 @@ from dpcl.trainer import (
     _ROLE_BATCH,
     _ROLE_BLOCK,
     _ROLE_REF_IDX,
+    _batch_grad,
     _ref_grad,
     project_gradient,
     run_stream,
@@ -228,6 +229,25 @@ def test_clipped_gradients_respect_bound_pre_noise():
                       hidden_dims=(8,), sampling_rate=0.5, epochs_per_task=2, seed=9)
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
-    from dpcl.trainer import _private_batch_grad
-    g = _private_batch_grad(net, stream.tasks[0][0], cfg, (0, 0, 0))
+    g = _batch_grad(net, stream.tasks[0][0], cfg, (0, 0, 0))
     assert np.linalg.norm(g) <= 0.05 + 1e-12
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+@pytest.mark.parametrize("seed", range(5))
+def test_ref_grad_sensitivity_is_two_beta_over_k(mode, seed):
+    """Swapping one of the k examples of a one-block memory moves the
+    noiseless reference gradient by at most 2 beta / k, because each example
+    is clipped to beta before the batch is averaged."""
+    beta = 0.1
+    stream = small_stream(2, per_class=50, seed=seed)
+    block, spare = stream.tasks[0][1], stream.tasks[0][0]
+    k = len(block)
+    cfg = TrainConfig(mode=mode, noise=NoiseConfig(sigma=0.0, clip_bound=beta),
+                      hidden_dims=(8,), ref_batch_size=k, seed=seed)
+    net = nn.DenseNet.create([block.feature_dim, 8, 3], seed=seed)
+    neighbour = block.subset(np.arange(k))
+    neighbour.x[0], neighbour.y[0] = spare.x[0], spare.y[0]
+    g = _ref_grad(net, update_eps_mem(EpisodicMemory(), block, 1), 2, 0, cfg, None)
+    g_nb = _ref_grad(net, update_eps_mem(EpisodicMemory(), neighbour, 1), 2, 0, cfg, None)
+    assert np.linalg.norm(g - g_nb) <= 2 * beta / k + 1e-12
