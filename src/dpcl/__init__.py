@@ -18,7 +18,6 @@ from .memory import (
     EpisodicMemory,
     MiniMemoryBlock,
     available_blocks,
-    membership_expectation_check,
     sample_block,
     sample_indices,
     update_eps_mem,

@@ -13,9 +13,10 @@ Moments add across steps; the (eps, delta) conversion is the standard tail
 bound eps = min_lam (alpha(lam) - ln delta) / lam.
 
 A step's moment vector depends only on (q, sigma), so each ledger computes
-it once per distinct (q, sigma) and every later step adds the stored
-vector. The states still sum step by step, so the moments are bitwise what
-re-evaluating the closed form at every step gives.
+it once per distinct (q, sigma), in one array pass over all orders, and
+every later step adds the stored vector. The states still sum step by step,
+so the moments are bitwise what re-evaluating the closed form at every step
+gives.
 """
 
 from __future__ import annotations
@@ -37,22 +38,32 @@ class Policy(Enum):
     LEMMA2 = "lemma2"  # one randomly chosen block charged per task
 
 
-def step_log_moment(q, sigma, lam) -> float:
-    """Per-step log moment alpha_step(lam) at integer order lam >= 1."""
+def step_log_moment(q, sigma, lam):
+    """Per-step log moment alpha_step(lam) at integer order lam >= 1.
+
+    lam may also be a 1-D array of orders; the vector of their moments is
+    then evaluated in one array pass.
+    """
     if not 0.0 < q <= 1.0:
         raise ConfigError("sampling rate q must be in (0, 1]")
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    lam = int(lam)
-    if lam < 1:
+    if not 0.0 < sigma < np.inf:
+        raise ConfigError("sigma must be finite and positive")
+    lams = np.asarray(lam)
+    if lams.ndim > 1 or not np.all(np.isfinite(lams)) or np.any(lams % 1):
+        raise ConfigError("moment orders must be finite integers")
+    if lams.size == 0 or np.any(lams < 1):
         raise ConfigError("moment order must be >= 1")
-    m = lam + 1  # E_mu[(mu/mu0)^lam] == E_mu0[(mu/mu0)^(lam+1)]
+    m = np.atleast_1d(lams).astype(np.int64) + 1  # E_mu[(mu/mu0)^lam] == E_mu0[(mu/mu0)^(lam+1)]
     if q == 1.0:
-        return m * (m - 1) / (2.0 * sigma * sigma)
-    i = np.arange(m + 1)
-    log_binom = gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
-    terms = log_binom + i * np.log(q) + (m - i) * np.log1p(-q) + (i * i - i) / (2.0 * sigma * sigma)
-    return float(logsumexp(terms))
+        alpha = m * (m - 1) / (2.0 * sigma * sigma)
+    else:
+        m = m[:, None]  # one row per order, one column per binomial term i
+        i = np.arange(m.max() + 1)
+        log_fact = gammaln(i + 1.0)
+        log_binom = log_fact[m] - log_fact[i] - log_fact[np.maximum(m - i, 0)]
+        terms = log_binom + i * np.log(q) + (m - i) * np.log1p(-q) + (i * i - i) / (2.0 * sigma * sigma)
+        alpha = logsumexp(np.where(i <= m, terms, -np.inf), axis=1)
+    return float(alpha[0]) if lams.ndim == 0 else alpha
 
 
 @dataclass
@@ -74,8 +85,8 @@ class MomentState:
     def add_step(self, q, sigma):
         vec = self.memo.get((q, sigma))
         if vec is None:
-            vec = self.memo[q, sigma] = np.array(
-                [step_log_moment(q, sigma, lam) for lam in range(1, self.lambda_max + 1)])
+            vec = self.memo[q, sigma] = step_log_moment(
+                q, sigma, np.arange(1, self.lambda_max + 1))
         self.log_moments = self.log_moments + vec
         self.steps += 1
 

@@ -41,4 +41,6 @@ def add_noise(g, cfg: NoiseConfig, address=()) -> np.ndarray:
     if cfg.sigma == 0.0:
         return g.copy()
     z = noise_rng(cfg.seed, address).standard_normal(g.shape)
-    return g + cfg.sigma * cfg.clip_bound * z
+    z *= cfg.sigma * cfg.clip_bound
+    z += g
+    return z

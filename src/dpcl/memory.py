@@ -64,27 +64,3 @@ def sample_block(avail: list, rng: np.random.Generator) -> MiniMemoryBlock:
 def sample_indices(block: MiniMemoryBlock, k: int, rng: np.random.Generator) -> np.ndarray:
     """min(k, block size) example indices drawn without replacement."""
     return rng.choice(len(block), size=min(k, len(block)), replace=False)
-
-
-def membership_expectation_check(mem: EpisodicMemory, current_task: int, q: float,
-                                 trials: int, seed=0) -> dict:
-    """Monte-Carlo per-example selection frequencies under the real sampler.
-
-    q = ref_batch_size / block size (all blocks equal size). Each example's
-    frequency should approach q / (current_task - 1).
-    """
-    sizes = {len(b) for b in mem.blocks}
-    if len(sizes) != 1:
-        raise StateError("blocks must be equal size for the expectation check")
-    block_size = sizes.pop()
-    ref_batch_size = int(round(q * block_size))
-    counts = {(b.task_id, i): 0 for b in mem.blocks for i in range(len(b))}
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(301,)))
-    if ref_batch_size == 0:
-        return {key: 0.0 for key in counts}
-    avail = available_blocks(mem, current_task)
-    for _ in range(trials):
-        block = sample_block(avail, rng)
-        for i in sample_indices(block, ref_batch_size, rng):
-            counts[(block.task_id, int(i))] += 1
-    return {key: c / trials for key, c in counts.items()}

@@ -4,11 +4,18 @@ Everything here is deliberately written without reference to the package's
 own code paths: quadrature instead of the closed form, explicit loops
 instead of vectorized backprop, an explicit (n x num_params) per-example
 gradient matrix clipped row by row instead of the ghost-norm clipped mean,
-direct formula evaluation for the budgets.
+direct formula evaluation for the budgets, one closed-form moment order at
+a time instead of the accountant's single array pass. The one exception is
+membership_expectation_check, which drives the real sampler so that the
+gate covers the draws the trainer makes.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln, logsumexp
+
+from dpcl.errors import StateError
+from dpcl.memory import available_blocks, sample_block, sample_indices
 
 
 def quad_log_moment(q, sigma, lam):
@@ -24,6 +31,18 @@ def quad_log_moment(q, sigma, lam):
     val, _ = quad(integrand, -20 * sigma, 20 * sigma + 1,
                   epsabs=1e-13, epsrel=1e-12, limit=300)
     return float(np.log(val))
+
+
+def per_order_log_moment(q, sigma, lam):
+    """Closed-form alpha_step(lam) for one integer order, one logsumexp over
+    the binomial expansion of E_mu0[(mu/mu0)^(lam+1)]."""
+    m = lam + 1
+    if q == 1.0:
+        return m * (m - 1) / (2.0 * sigma * sigma)
+    i = np.arange(m + 1)
+    log_binom = gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
+    terms = log_binom + i * np.log(q) + (m - i) * np.log1p(-q) + (i * i - i) / (2.0 * sigma * sigma)
+    return float(logsumexp(terms))
 
 
 def quad_epsilon(q, sigma, steps, delta, lam_grid):
@@ -100,3 +119,26 @@ def per_example_grad_matrix(weights, biases, x, y):
         if layer > 0:
             delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
     return np.concatenate(slabs, axis=1)
+
+
+def membership_expectation_check(mem, current_task, q, trials, seed=0) -> dict:
+    """Monte-Carlo per-example selection frequencies under the real sampler.
+
+    q = ref_batch_size / block size (all blocks equal size). Each example's
+    frequency should approach q / (current_task - 1).
+    """
+    sizes = {len(b) for b in mem.blocks}
+    if len(sizes) != 1:
+        raise StateError("blocks must be equal size for the expectation check")
+    block_size = sizes.pop()
+    ref_batch_size = int(round(q * block_size))
+    counts = {(b.task_id, i): 0 for b in mem.blocks for i in range(len(b))}
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(301,)))
+    if ref_batch_size == 0:
+        return {key: 0.0 for key in counts}
+    avail = available_blocks(mem, current_task)
+    for _ in range(trials):
+        block = sample_block(avail, rng)
+        for i in sample_indices(block, ref_batch_size, rng):
+            counts[(block.task_id, int(i))] += 1
+    return {key: c / trials for key, c in counts.items()}

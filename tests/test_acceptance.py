@@ -20,12 +20,17 @@ from dpcl.accountant import MomentState, compose_epsilon, step_log_moment
 from dpcl.cli import budget_curve_table
 from dpcl.data import Dataset, make_synthetic, make_permuted_stream
 from dpcl.dp import NoiseConfig, add_noise
-from dpcl.memory import EpisodicMemory, membership_expectation_check, update_eps_mem
+from dpcl.memory import EpisodicMemory, update_eps_mem
 from dpcl.metrics import average_accuracy, forgetting
 from dpcl.nn import DenseNet, clipped_mean_grad, grad, loss
 from dpcl.trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream
 
-from _oracles import finite_difference_grad, per_example_grad_matrix, quad_log_moment
+from _oracles import (
+    finite_difference_grad,
+    membership_expectation_check,
+    per_example_grad_matrix,
+    quad_log_moment,
+)
 
 
 def _announce(line):

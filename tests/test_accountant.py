@@ -16,7 +16,7 @@ from dpcl.accountant import (
 )
 from dpcl.errors import ConfigError, InputError, StateError
 
-from _oracles import quad_epsilon, quad_log_moment
+from _oracles import per_order_log_moment, quad_epsilon, quad_log_moment
 
 
 def constant_budgets(n, eps=1.0, eps_ref=1.0):
@@ -63,6 +63,38 @@ def test_step_log_moment_rejects_bad_config():
         step_log_moment(0.1, 0.0, 1)
     with pytest.raises(ConfigError):
         step_log_moment(0.1, 1.0, 0)
+
+
+# non-integer orders, for scalars and arrays alike; array orders below 1; 2-D
+@pytest.mark.parametrize("lam", [2.5, np.array([1, 2.5]), np.array([1.0, np.nan]),
+                                 np.array([1, np.inf]), np.array([0, 1]), np.array([[1, 2]])])
+def test_step_log_moment_rejects_bad_orders(lam):
+    with pytest.raises(ConfigError):
+        step_log_moment(0.1, 1.0, lam)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_accountant_rejects_nonfinite_sigma(sigma):
+    with pytest.raises(ConfigError):
+        step_log_moment(0.1, sigma, 4)
+    ledger = PrivacyLedger(sigma=sigma)
+    ledger.register_task(1)
+    with pytest.raises(ConfigError):
+        ledger.track_training_step(1, 0.1)
+
+
+def test_step_log_moment_vector_matches_per_order_oracle():
+    for q in (1e-8, 1e-4, 0.01, 0.05, 0.1, 1 / 3 * 0.2, 0.5, 0.9, 1.0):
+        for sigma in (0.3, 0.8, 1.0, 1.3, 2.0, 4.0, 8.0):
+            for lambda_max in (1, 2, 7, 16, 64):
+                lams = np.arange(1, lambda_max + 1)
+                vec = step_log_moment(q, sigma, lams)
+                expected = np.array([per_order_log_moment(q, sigma, lam) for lam in lams])
+                assert vec.shape == expected.shape
+                assert np.all(np.abs(vec - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+            # a single order sums no padding, so it is the oracle's value bitwise
+            scalar = step_log_moment(q, sigma, 7)
+            assert type(scalar) is float and scalar == per_order_log_moment(q, sigma, 7)
 
 
 def test_compose_zero_steps_is_zero():
@@ -234,8 +266,7 @@ def test_memoized_state_matches_uncached_loop_bitwise():
     expected = np.zeros(16)
     for q in qs:
         state.add_step(q, 1.3)
-        expected = expected + np.array(
-            [step_log_moment(q, 1.3, lam) for lam in range(1, 17)])
+        expected = expected + step_log_moment(q, 1.3, np.arange(1, 17))
     assert state.steps == len(qs)
     assert np.array_equal(state.log_moments, expected)
 
@@ -259,7 +290,7 @@ def test_ledger_evaluates_each_rate_once_per_ledger(monkeypatch):
 
     monkeypatch.setattr(accountant, "step_log_moment", counting)
     lambda_max = 8
-    per_ledger = lambda_max * 3  # (q, sigma): train 0.1, ref 0.05 and 0.025
+    per_ledger = 3  # (q, sigma): train 0.1, ref 0.05 and 0.025
     first = PrivacyLedger(sigma=1.0, lambda_max=lambda_max)
     _track_three_tasks(first, steps_per_task=5)
     assert len(calls) == per_ledger
@@ -268,3 +299,5 @@ def test_ledger_evaluates_each_rate_once_per_ledger(monkeypatch):
     # a fresh ledger pays for its own closed-form evaluations
     _track_three_tasks(PrivacyLedger(sigma=1.0, lambda_max=lambda_max), steps_per_task=5)
     assert len(calls) == 2 * per_ledger
+    assert sorted({q for q, _, _ in calls}) == [0.025, 0.05, 0.1]
+    assert all(np.array_equal(lam, np.arange(1, lambda_max + 1)) for _, _, lam in calls)

@@ -75,6 +75,18 @@ def test_add_noise_sigma_zero_is_identity():
     assert np.array_equal(add_noise(g, cfg), g)
 
 
+def test_add_noise_matches_reference_expression_without_mutating_input():
+    g = np.linspace(-1.0, 1.0, 1_001)
+    before = g.copy()
+    cfg = NoiseConfig(sigma=1.7, clip_bound=0.3, seed=9)
+    noised = add_noise(g, cfg, (2, 5))
+    expected = g + cfg.sigma * cfg.clip_bound * noise_rng(cfg.seed, (2, 5)).standard_normal(g.shape)
+    assert np.array_equal(noised, expected)
+    assert np.array_equal(g, before)
+    copy = add_noise(g, NoiseConfig(sigma=0.0, clip_bound=0.3, seed=9))
+    assert copy is not g and np.array_equal(copy, g)
+
+
 def test_add_noise_reproducible_per_address():
     g = np.ones(16)
     cfg = NoiseConfig(sigma=1.0, clip_bound=0.1, seed=5)

@@ -8,11 +8,12 @@ from dpcl.memory import (
     EpisodicMemory,
     MiniMemoryBlock,
     available_blocks,
-    membership_expectation_check,
     sample_block,
     sample_indices,
     update_eps_mem,
 )
+
+from _oracles import membership_expectation_check
 
 
 def block_data(task_id, size=8, d=3):
