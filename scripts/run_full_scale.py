@@ -52,7 +52,7 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     result.matrix.write_csv(os.path.join(args.out, f"{args.mode}_accuracy_matrix.csv"))
-    if sigma > 0:
+    if mode is not Mode.AGEM:
         for policy in Policy:
             report = result.ledger.report(1e-4, policy)
             report.write_csv(os.path.join(args.out, f"{args.mode}_budget_{policy.value}.csv"),

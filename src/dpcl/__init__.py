@@ -14,16 +14,9 @@ from .accountant import (
 )
 from .data import Dataset, TaskStream, load_idx_archive, make_permuted_stream, make_synthetic
 from .dp import NoiseConfig, add_noise
-from .memory import (
-    EpisodicMemory,
-    MiniMemoryBlock,
-    available_blocks,
-    sample_block,
-    sample_indices,
-    update_eps_mem,
-)
-from .metrics import AccuracyMatrix, LearningCurve, average_accuracy, forgetting, lca
+from .metrics import AccuracyMatrix, average_accuracy, forgetting, lca
 from .nn import DenseNet, accuracy, clipped_mean_grad, forward, grad, loss
-from .trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream, train_task
+from .trainer import (Mode, ProjectionRule, TrainConfig, project_gradient, run_stream,
+                      sample_block, sample_indices, train_task)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -139,17 +139,16 @@ def budget_lemma1(budgets, t, delta=1e-4) -> BudgetReport:
     return BudgetReport(per_task, float(sum(per_task)), delta, Policy.LEMMA1)
 
 
-def budget_lemma2(budgets, t, delta=1e-4, strict=False) -> BudgetReport:
+def budget_lemma2(budgets, t, delta=1e-4) -> BudgetReport:
     """Single-block composition: eps_i(T) = eps_i + eps'_i.
 
-    By default task 1 is charged no reference budget (the memory is empty
-    when task 1 trains); strict=True applies the literal formula to every
-    task, including the first.
+    Task 1 is charged no reference budget: the memory is empty when task 1
+    trains.
     """
     _check_budgets(budgets, t)
     per_task = []
     for b in budgets[:t]:
-        ref = b.eps_ref if (strict or b.task_id > 1) else 0.0
+        ref = b.eps_ref if b.task_id > 1 else 0.0
         per_task.append(b.eps_train + ref)
     return BudgetReport(per_task, float(sum(per_task)), delta, Policy.LEMMA2)
 

@@ -64,12 +64,16 @@ class RunSpec:
 
 
 def _build_stream(spec: RunSpec):
+    if bool(spec.test_images) != bool(spec.test_labels):
+        raise ConfigError("--test-images and --test-labels go together")
+    if (spec.labels or spec.test_images) and not spec.images:
+        raise ConfigError("--labels and the test archive need --images")
     if spec.images:
         if not spec.labels:
             raise ConfigError("--labels is required with --images")
         base = load_idx_archive(spec.images, spec.labels)
         test = None
-        if spec.test_images and spec.test_labels:
+        if spec.test_images:
             test = load_idx_archive(spec.test_images, spec.test_labels)
         return make_permuted_stream(base, spec.tasks, spec.seed,
                                    ref_fraction=spec.ref_fraction, test=test)
@@ -115,6 +119,9 @@ def cmd_run(spec: RunSpec) -> int:
         return EXIT_CONFIG
     try:
         result = run_stream(stream, cfg)
+    except ConfigError as exc:  # raised before any training
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -132,7 +139,7 @@ def cmd_run(spec: RunSpec) -> int:
                 f_mean, f_worst = forgetting(result.matrix, t)
                 w.writerow(["forgetting", repr(f_mean)])
                 w.writerow(["worst_case_forgetting", repr(f_worst)])
-            beta = min(cfg.lca_beta, len(result.curve.z) - 1)
+            beta = min(cfg.lca_beta, len(result.curve) - 1)
             w.writerow(["lca", repr(lca(result.curve, beta))])
         result.report.write_csv(out / "budget_report.csv",
                                 result.ledger.task_budgets(cfg.delta))

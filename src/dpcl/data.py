@@ -103,19 +103,6 @@ def load_idx_archive(images_path, labels_path) -> Dataset:
     return Dataset(pixels.astype(np.float64) / 255.0, labels, num_classes)
 
 
-def write_idx_archive(images_path, labels_path, pixels: np.ndarray, labels: np.ndarray):
-    """Inverse of load_idx_archive for fixtures; pixels are uint8 (n, rows, cols)."""
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = pixels.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
-
-
 def make_synthetic(d, num_classes, n_per_class, margin, seed) -> Dataset:
     """Image-like Gaussian class blobs: dark background, a bright block of
     coordinates per class, features clipped into [0, 1].
@@ -172,6 +159,9 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
         pool = base.subset(rng.permutation(len(base)))
     if len(test) == 0:
         raise ConfigError("the test split is empty")
+    if test.feature_dim != d:
+        raise ConfigError(f"test examples have {test.feature_dim} features, "
+                          f"training examples {d}")
 
     n_ref = int(round(ref_fraction * len(pool)))
     if not 0 < n_ref < len(pool):

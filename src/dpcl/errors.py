@@ -10,7 +10,7 @@ class InputError(ValueError):
 
 
 class StateError(RuntimeError):
-    """An operation was called in an invalid state (e.g. memory out of order)."""
+    """An operation was called in an invalid state (e.g. a ledger charge for an unknown task)."""
 
 
 class ParseError(ValueError):

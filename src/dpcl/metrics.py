@@ -7,7 +7,7 @@ evaluated task j (both 1-based); only j <= k is populated.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +46,6 @@ class AccuracyMatrix:
                 w.writerow([k] + vals)
 
 
-@dataclass
-class LearningCurve:
-    """Accuracy after b = 0..beta mini-batches, averaged over tasks."""
-
-    z: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @classmethod
-    def from_traces(cls, per_task_traces):
-        return cls(np.mean(np.asarray(per_task_traces, dtype=np.float64), axis=0))
-
-
 def average_accuracy(m: AccuracyMatrix, t) -> float:
     """Mean test accuracy over tasks 1..t after finishing task t."""
     return float(m.row(t).mean())
@@ -79,8 +68,10 @@ def forgetting(m: AccuracyMatrix, t):
     return float(f.mean()), float(f.max())
 
 
-def lca(curve: LearningCurve, beta) -> float:
-    """Learning-curve area: mean of the first beta+1 points of the b-shot curve."""
-    if len(curve.z) < beta + 1:
-        raise InputError(f"curve has {len(curve.z)} points, need {beta + 1}")
-    return float(np.mean(curve.z[:beta + 1]))
+def lca(curve: np.ndarray, beta) -> float:
+    """Learning-curve area: mean of the first beta+1 points of the b-shot
+    curve, whose point b is the accuracy after b mini-batches averaged over
+    tasks."""
+    if len(curve) < beta + 1:
+        raise InputError(f"curve has {len(curve)} points, need {beta + 1}")
+    return float(np.mean(curve[:beta + 1]))

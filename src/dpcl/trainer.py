@@ -2,6 +2,7 @@
 private single-block variant (dp_cl) and the naive all-blocks private variant
 (dp_agem). The modes differ only in which stored blocks the reference
 gradient reads each step and in whether gradients are clipped and noised.
+The stored blocks at task t are the reference splits of tasks 1..t-1.
 
 All randomness is drawn from addressed substreams keyed by
 (role, task, step[, block]) under the run seed, so two runs with the same
@@ -23,8 +24,7 @@ from .accountant import DEFAULT_LAMBDA_MAX, Policy, PrivacyLedger
 from .data import TaskStream
 from .dp import NoiseConfig, add_noise
 from .errors import ConfigError
-from .memory import EpisodicMemory, available_blocks, sample_block, sample_indices, update_eps_mem
-from .metrics import AccuracyMatrix, LearningCurve
+from .metrics import AccuracyMatrix
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +104,16 @@ def project_gradient(g, g_ref, rule: ProjectionRule) -> np.ndarray:
     return g - (dot / denom) * g_ref
 
 
+def sample_block(n_blocks, rng: np.random.Generator) -> int:
+    """The index of one of n_blocks stored blocks, chosen uniformly."""
+    return rng.integers(n_blocks)
+
+
+def sample_indices(n, k, rng: np.random.Generator) -> np.ndarray:
+    """min(k, n) of the indices 0..n-1, drawn without replacement."""
+    return rng.choice(n, size=min(k, n), replace=False)
+
+
 def _batch_grad(net, batch, cfg: TrainConfig, noise_address):
     """The gradient one step releases for a batch: the plain mean for agem;
     otherwise the mean of the per-example clipped gradients plus noise."""
@@ -113,33 +123,34 @@ def _batch_grad(net, batch, cfg: TrainConfig, noise_address):
     return add_noise(g, cfg.noise, noise_address)
 
 
-def _ref_grad(net, mem, task_id, step, cfg: TrainConfig, ledger):
-    """Mean reference gradient over the blocks read this step: one uniformly
-    chosen block for agem and dp_cl, every stored block for dp_agem. Each
-    block's batch goes through _batch_grad, and private modes charge its
-    sampling rate."""
-    avail = available_blocks(mem, task_id)
+def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger):
+    """Mean reference gradient over the stored blocks read this step: one
+    uniformly chosen block for agem and dp_cl, every block for dp_agem.
+    blocks[i] is the reference split of task i + 1. Each block's batch goes
+    through _batch_grad, and private modes charge its sampling rate."""
     if cfg.mode is Mode.DP_AGEM:
-        blocks = avail
+        chosen = range(len(blocks))
     else:
-        blocks = [sample_block(avail, _rng(cfg.seed, _ROLE_BLOCK, task_id, step))]
+        chosen = [sample_block(len(blocks), _rng(cfg.seed, _ROLE_BLOCK, task_id, step))]
     grads = []
-    for block in blocks:
-        idx = sample_indices(block, cfg.ref_batch_size,
-                             _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block.task_id))
-        grads.append(_batch_grad(net, block.data.subset(idx), cfg,
-                                 (_ROLE_REF_NOISE, task_id, step, block.task_id)))
+    for i in chosen:
+        block, block_id = blocks[i], i + 1
+        idx = sample_indices(len(block), cfg.ref_batch_size,
+                             _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block_id))
+        grads.append(_batch_grad(net, block.subset(idx), cfg,
+                                 (_ROLE_REF_NOISE, task_id, step, block_id)))
         if ledger is not None:
             q = len(idx) / len(block)
             if cfg.mode is not Mode.DP_AGEM:
-                q = (1.0 / len(avail)) * q
-            ledger.track_ref_step(task_id, block.task_id, q)
+                q = (1.0 / len(blocks)) * q
+            ledger.track_ref_step(task_id, block_id, q)
     return np.mean(grads, axis=0)
 
 
-def train_task(net, train_data, mem, ledger, cfg: TrainConfig, task_id, step_callback=None):
-    """Train net on one task; from task 2 on, every update is projected
-    against the reference gradient of the stored blocks."""
+def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_callback=None):
+    """Train net on one task; when blocks (the stored reference splits of
+    tasks 1..task_id-1) is not empty, every update is projected against
+    their reference gradient."""
     n = len(train_data)
     p = cfg.sampling_rate
     params = net.get_params()
@@ -156,10 +167,10 @@ def train_task(net, train_data, mem, ledger, cfg: TrainConfig, task_id, step_cal
             g = np.zeros(net.num_params)
             if cfg.mode is not Mode.AGEM:
                 g = add_noise(g, cfg.noise, (_ROLE_TRAIN_NOISE, task_id, step))
-        if task_id == 1 or len(mem) == 0:
+        if not blocks:
             g_tilde = g
         else:
-            g_ref = _ref_grad(net, mem, task_id, step, cfg, ledger)
+            g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger)
             g_tilde = project_gradient(g, g_ref, cfg.projection_rule)
         params = params - cfg.learning_rate * g_tilde
         net.set_params(params)
@@ -172,8 +183,7 @@ def train_task(net, train_data, mem, ledger, cfg: TrainConfig, task_id, step_cal
 class RunResult:
     matrix: AccuracyMatrix
     report: object
-    curve: LearningCurve
-    traces: list          # traces[t][b] = accuracy on task t+1 after b updates
+    curve: np.ndarray     # accuracy after b = 0..lca_beta updates, averaged over tasks
     ledger: PrivacyLedger
     net: object
 
@@ -183,17 +193,20 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     task and record the first lca_beta+1 per-batch accuracies of every task."""
     if stream.num_tasks == 0:
         raise ConfigError("empty task stream")
+    if any(len(ref) == 0 for _, ref, _, _ in stream.tasks):
+        raise ConfigError("every task needs a non-empty reference split")
+    track_privacy = cfg.mode is not Mode.AGEM
+    if track_privacy and cfg.noise.sigma == 0:
+        raise ConfigError(f"mode {cfg.mode.value} releases gradients, so it needs sigma > 0")
     d = stream.tasks[0][0].feature_dim
     num_classes = stream.tasks[0][0].num_classes
     net = nn.DenseNet.create([d, *cfg.hidden_dims, num_classes], seed=cfg.seed)
 
-    track_privacy = cfg.mode is not Mode.AGEM and cfg.noise.sigma > 0
-    ledger = PrivacyLedger(cfg.noise.sigma if track_privacy else 1.0, cfg.lambda_max)
-    mem = EpisodicMemory()
+    ledger = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
 
-    for t, (train_split, ref_split, test_split, _) in enumerate(stream.tasks, start=1):
+    for t, (train_split, _, test_split, _) in enumerate(stream.tasks, start=1):
         ledger.register_task(t)
         trace = []
 
@@ -201,14 +214,12 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
             if step <= cfg.lca_beta:
                 _trace.append(nn.accuracy(net, _test))
 
-        net = train_task(net, train_split, mem, ledger if track_privacy else None,
+        blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
+        net = train_task(net, train_split, blocks, ledger if track_privacy else None,
                          cfg, t, step_callback=record)
         traces.append(trace)
-        mem = update_eps_mem(mem, ref_split, t)
         for j in range(1, t + 1):
             matrix.set(t, j, nn.accuracy(net, stream.tasks[j - 1][2]))
 
     report = ledger.report(cfg.delta, cfg.policy)
-    trace_len = min(cfg.lca_beta + 1, *(len(tr) for tr in traces))
-    curve = LearningCurve.from_traces([tr[:trace_len] for tr in traces])
-    return RunResult(matrix, report, curve, traces, ledger, net)
+    return RunResult(matrix, report, np.mean(traces, axis=0), ledger, net)

@@ -7,15 +7,19 @@ gradient matrix clipped row by row instead of the ghost-norm clipped mean,
 direct formula evaluation for the budgets, one closed-form moment order at
 a time instead of the accountant's single array pass. The one exception is
 membership_expectation_check, which drives the real sampler so that the
-gate covers the draws the trainer makes.
+gate covers the draws the trainer makes. write_idx_archive is the inverse of
+the archive loader, used to build fixtures.
 """
+
+import struct
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
+from dpcl.data import IMAGE_MAGIC, LABEL_MAGIC
 from dpcl.errors import StateError
-from dpcl.memory import available_blocks, sample_block, sample_indices
+from dpcl.trainer import sample_block, sample_indices
 
 
 def quad_log_moment(q, sigma, lam):
@@ -121,24 +125,37 @@ def per_example_grad_matrix(weights, biases, x, y):
     return np.concatenate(slabs, axis=1)
 
 
-def membership_expectation_check(mem, current_task, q, trials, seed=0) -> dict:
+def membership_expectation_check(blocks, q, trials, seed=0) -> dict:
     """Monte-Carlo per-example selection frequencies under the real sampler.
 
-    q = ref_batch_size / block size (all blocks equal size). Each example's
-    frequency should approach q / (current_task - 1).
+    blocks[i] is the stored block of task i + 1, and all blocks are the same
+    size; q = ref_batch_size / block size. Each example's frequency should
+    approach q / len(blocks).
     """
-    sizes = {len(b) for b in mem.blocks}
+    sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
         raise StateError("blocks must be equal size for the expectation check")
     block_size = sizes.pop()
     ref_batch_size = int(round(q * block_size))
-    counts = {(b.task_id, i): 0 for b in mem.blocks for i in range(len(b))}
+    counts = {(i + 1, j): 0 for i in range(len(blocks)) for j in range(block_size)}
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(301,)))
     if ref_batch_size == 0:
         return {key: 0.0 for key in counts}
-    avail = available_blocks(mem, current_task)
     for _ in range(trials):
-        block = sample_block(avail, rng)
-        for i in sample_indices(block, ref_batch_size, rng):
-            counts[(block.task_id, int(i))] += 1
+        i = sample_block(len(blocks), rng)
+        for j in sample_indices(block_size, ref_batch_size, rng):
+            counts[(int(i) + 1, int(j))] += 1
     return {key: c / trials for key, c in counts.items()}
+
+
+def write_idx_archive(images_path, labels_path, pixels, labels):
+    """Inverse of load_idx_archive; pixels are uint8 (n, rows, cols)."""
+    pixels = np.asarray(pixels, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    n, rows, cols = pixels.shape
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
+        f.write(labels.tobytes())

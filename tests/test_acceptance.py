@@ -20,7 +20,6 @@ from dpcl.accountant import MomentState, compose_epsilon, step_log_moment
 from dpcl.cli import budget_curve_table
 from dpcl.data import Dataset, make_synthetic, make_permuted_stream
 from dpcl.dp import NoiseConfig, add_noise
-from dpcl.memory import EpisodicMemory, update_eps_mem
 from dpcl.metrics import average_accuracy, forgetting
 from dpcl.nn import DenseNet, clipped_mean_grad, grad, loss
 from dpcl.trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream
@@ -121,13 +120,10 @@ def test_clipping_and_noise():
 @criterion(5, "memory sampling unbiasedness")
 def test_sampling_unbiasedness():
     block_size, t, q = 8, 5, 0.5
-    mem = EpisodicMemory()
-    for task in range(1, t):
-        data = Dataset(np.full((block_size, 2), float(task)),
-                       np.zeros(block_size, dtype=int), 1)
-        mem = update_eps_mem(mem, data, task)
+    blocks = [Dataset(np.full((block_size, 2), float(task)), np.zeros(block_size, dtype=int), 1)
+              for task in range(1, t)]
     trials = 100_000
-    freqs = membership_expectation_check(mem, t, q, trials=trials, seed=0)
+    freqs = membership_expectation_check(blocks, q, trials=trials, seed=0)
     expected = q / (t - 1)
     tol = 3 * np.sqrt(expected * (1 - expected) / trials)
     assert all(abs(f - expected) <= tol for f in freqs.values())

@@ -20,6 +20,8 @@ from dpcl.cli import (
 )
 from dpcl.trainer import Mode, ProjectionRule
 
+from _oracles import write_idx_archive
+
 ARTIFACTS = ["accuracy_matrix.csv", "metrics.csv", "budget_report.csv", "run_manifest.cfg"]
 
 
@@ -71,15 +73,31 @@ BAD_INPUTS = {
     "learning_rate_inf": ["--learning-rate", "inf"],
     "empty_test_split": ["--synth-dim", "2", "--synth-classes", "2", "--synth-per-class", "1",
                          "--ref-fraction", "0.5"],
+    "dp_cl_sigma_0": ["--mode", "dp_cl", "--sigma", "0"],
+    "dp_agem_sigma_0": ["--mode", "dp_agem", "--sigma", "0"],
+    "test_archive_other_size": ["--images", "{dir}/img2", "--labels", "{dir}/lbl2",
+                                "--test-images", "{dir}/img3", "--test-labels", "{dir}/lbl3"],
+    "lone_test_images": ["--images", "{dir}/img2", "--labels", "{dir}/lbl2",
+                         "--test-images", "{dir}/img2"],
+    "lone_test_labels": ["--images", "{dir}/img2", "--labels", "{dir}/lbl2",
+                         "--test-labels", "{dir}/lbl2"],
+    "test_archive_without_images": ["--test-images", "{dir}/img2", "--test-labels", "{dir}/lbl2"],
+    "labels_without_images": ["--labels", "{dir}/lbl2"],
 }
 
 
 @pytest.mark.parametrize("bad", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_run_invalid_config_exit_code(tmp_path, capsys, bad):
+    # {dir} holds a 2x2-pixel archive of 12 images and a 3x3-pixel one of 6
+    labels = np.arange(12) % 3
+    write_idx_archive(tmp_path / "img2", tmp_path / "lbl2",
+                      np.full((12, 2, 2), 128), labels)
+    write_idx_archive(tmp_path / "img3", tmp_path / "lbl3",
+                      np.full((6, 3, 3), 128), labels[:6])
     out = tmp_path / "bad"
     code = main(["run", "--tasks", "2", "--epochs", "1", "--synth-per-class", "12",
                  "--synth-classes", "3", "--synth-dim", "8", "--hidden", "8",
-                 "--out", str(out), *bad])
+                 "--out", str(out), *(arg.format(dir=tmp_path) for arg in bad)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcl.data import (
-    load_idx_archive,
-    make_permuted_stream,
-    make_synthetic,
-    write_idx_archive,
-)
+from dpcl.data import load_idx_archive, make_permuted_stream, make_synthetic
 from dpcl.errors import ConfigError, ParseError
 
-from _oracles import nearest_centroid_accuracy
+from _oracles import nearest_centroid_accuracy, write_idx_archive
 
 
 def test_loader_hand_built_fixture(tmp_path):
@@ -118,6 +113,14 @@ def test_stream_rejects_empty_test_split():
         make_permuted_stream(base, 2, seed=0, test_fraction=0.02)
     with pytest.raises(ConfigError):  # given
         make_permuted_stream(base, 2, seed=0, test=base.subset([]))
+
+
+@pytest.mark.parametrize("test_dim", [4, 9])
+def test_stream_rejects_test_set_of_another_feature_size(test_dim):
+    base = make_synthetic(6, 3, 5, 0.6, seed=0)
+    test = make_synthetic(test_dim, 3, 2, 0.6, seed=1)
+    with pytest.raises(ConfigError, match="features"):
+        make_permuted_stream(base, 2, seed=0, test=test)
 
 
 def test_synthetic_nearest_centroid_is_exact():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcl.errors import InputError
-from dpcl.metrics import AccuracyMatrix, LearningCurve, average_accuracy, forgetting, lca
+from dpcl.metrics import AccuracyMatrix, average_accuracy, forgetting, lca
 
 accs = st.floats(0.0, 1.0)
 
@@ -75,16 +75,16 @@ def test_average_accuracy_relabel_invariant():
 
 
 def test_lca_constant_curve():
-    assert lca(LearningCurve(np.full(11, 0.37)), 10) == pytest.approx(0.37)
+    assert lca(np.full(11, 0.37), 10) == pytest.approx(0.37)
 
 
 def test_lca_linear_curve():
-    assert lca(LearningCurve(np.array([0.0, 0.5, 1.0])), 2) == pytest.approx(0.5)
+    assert lca(np.array([0.0, 0.5, 1.0]), 2) == pytest.approx(0.5)
 
 
 def test_lca_short_curve():
     with pytest.raises(InputError):
-        lca(LearningCurve(np.array([0.5, 0.6])), 5)
+        lca(np.array([0.5, 0.6]), 5)
 
 
 @given(data=st.data())
@@ -94,7 +94,7 @@ def test_lca_monotone_under_domination(data):
     low = np.array([data.draw(accs) for _ in range(beta + 1)])
     bump = np.array([data.draw(st.floats(0.0, 1.0)) for _ in range(beta + 1)])
     high = np.minimum(low + bump, 1.0)
-    assert lca(LearningCurve(high), beta) >= lca(LearningCurve(low), beta) - 1e-12
+    assert lca(high, beta) >= lca(low, beta) - 1e-12
 
 
 def test_matrix_csv(tmp_path):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from dpcl import nn
 from dpcl.accountant import MomentState
-from dpcl.data import make_permuted_stream, make_synthetic
+from dpcl.data import TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
-from dpcl.memory import EpisodicMemory, update_eps_mem
+from dpcl.errors import ConfigError
 from dpcl.trainer import (
     Mode,
     ProjectionRule,
@@ -80,10 +80,9 @@ def test_agem_matches_reference_loop_bitwise():
 
     # package path
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
-    mem = EpisodicMemory()
-    for t, (train_split, ref_split, _, _) in enumerate(stream.tasks, start=1):
-        net = train_task(net, train_split, mem, None, cfg, t)
-        mem = update_eps_mem(mem, ref_split, t)
+    for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
+        net = train_task(net, train_split, [ref for _, ref, _, _ in stream.tasks[:t - 1]],
+                         None, cfg, t)
 
     # independent loop
     ref_net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
@@ -185,10 +184,10 @@ def test_dp_agem_noiseless_single_block_ref_gradient():
                       ref_batch_size=10_000)
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
-    mem = update_eps_mem(EpisodicMemory(), stream.tasks[0][1], 1)
-    g_ref = _ref_grad(net, mem, 2, 0, cfg, None)
+    block = stream.tasks[0][1]
+    g_ref = _ref_grad(net, [block], 2, 0, cfg, None)
     # huge clip bound + sigma 0 + whole-block batch -> plain block gradient
-    assert np.allclose(g_ref, nn.grad(net, mem.blocks[0].data), atol=1e-12)
+    assert np.allclose(g_ref, nn.grad(net, block), atol=1e-12)
 
 
 def test_run_stream_single_task_structure():
@@ -212,7 +211,6 @@ def test_run_stream_deterministic():
 
 def test_identical_tasks_show_no_forgetting():
     # the same task repeated three times -> nothing to forget
-    from dpcl.data import TaskStream
     base = make_synthetic(8, 3, 30, 0.6, seed=6)
     single = make_permuted_stream(base, 1, seed=6, ref_fraction=0.2)
     stream = TaskStream(tasks=single.tasks * 3)
@@ -248,6 +246,31 @@ def test_ref_grad_sensitivity_is_two_beta_over_k(mode, seed):
     net = nn.DenseNet.create([block.feature_dim, 8, 3], seed=seed)
     neighbour = block.subset(np.arange(k))
     neighbour.x[0], neighbour.y[0] = spare.x[0], spare.y[0]
-    g = _ref_grad(net, update_eps_mem(EpisodicMemory(), block, 1), 2, 0, cfg, None)
-    g_nb = _ref_grad(net, update_eps_mem(EpisodicMemory(), neighbour, 1), 2, 0, cfg, None)
+    g = _ref_grad(net, [block], 2, 0, cfg, None)
+    g_nb = _ref_grad(net, [neighbour], 2, 0, cfg, None)
     assert np.linalg.norm(g - g_nb) <= 2 * beta / k + 1e-12
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_empty_reference_split_rejected_before_training(mode, monkeypatch):
+    stream = small_stream(2)
+    train, ref, test, perm = stream.tasks[1]
+    stream = TaskStream([stream.tasks[0], (train, ref.subset([]), test, perm)])
+    monkeypatch.setattr(nn.DenseNet, "create", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ConfigError, match="reference split"):
+        run_stream(stream, agem_cfg(mode=mode, noise=NoiseConfig(sigma=1.0)))
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_private_mode_without_noise_rejected_before_training(mode, monkeypatch):
+    monkeypatch.setattr(nn.DenseNet, "create", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ConfigError, match="sigma"):
+        run_stream(small_stream(2), agem_cfg(mode=mode, noise=NoiseConfig(sigma=0.0)))
+
+
+def test_curve_averages_the_per_task_traces():
+    stream = small_stream(2)
+    cfg = agem_cfg(epochs_per_task=1, lca_beta=10)  # 4 steps per task < lca_beta
+    result = run_stream(stream, cfg)
+    assert result.curve.shape == (cfg.steps_per_task + 1,)
+    assert np.all((result.curve >= 0.0) & (result.curve <= 1.0))
