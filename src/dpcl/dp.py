@@ -22,6 +22,8 @@ class NoiseConfig:
             raise ConfigError("sigma must be finite and nonnegative")
         if not 0.0 < self.clip_bound < np.inf:
             raise ConfigError("clip_bound must be finite and positive")
+        if self.seed < 0:
+            raise ConfigError("noise seed must be >= 0")
 
 
 def noise_rng(seed, address=()) -> np.random.Generator:

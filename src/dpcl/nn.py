@@ -142,10 +142,12 @@ def grad(net: DenseNet, batch) -> np.ndarray:
     return _mean_over_examples(*_backward(net, batch))
 
 
-def clipped_mean_grad(net: DenseNet, batch, beta) -> np.ndarray:
+def clipped_mean_grad(net: DenseNet, batch, beta, sizes=None) -> np.ndarray:
     """Mean of the per-example gradients, each clipped to L2 norm at most
-    beta as g_i * min(1, beta/||g_i||), without building any g_i. Raises
-    NumericError when some ||g_i|| is not finite."""
+    beta as g_i * min(1, beta/||g_i||), without building any g_i. With
+    sizes, the rows form consecutive groups of those lengths and the result
+    is the mean of the groups' clipped means, still from one backward pass.
+    Raises NumericError when some ||g_i|| is not finite."""
     if beta <= 0:
         raise ConfigError("clip bound must be positive")
     acts, deltas = _backward(net, batch)
@@ -153,6 +155,8 @@ def clipped_mean_grad(net: DenseNet, batch, beta) -> np.ndarray:
     if not np.all(np.isfinite(sq_norms)):
         raise NumericError("gradient contains NaN/Inf")
     scale = beta / np.maximum(np.sqrt(sq_norms), beta)
+    if sizes is not None:  # a row of group b weighs n / (B * |b|) in the mean over all n
+        scale *= np.repeat(len(batch) / (len(sizes) * np.asarray(sizes)), sizes)
     return _mean_over_examples(acts, [d * scale[:, None] for d in deltas])
 
 

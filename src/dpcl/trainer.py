@@ -1,11 +1,12 @@
 """One training loop for the noiseless episodic-gradient baseline (agem), the
 private single-block variant (dp_cl) and the naive all-blocks private variant
 (dp_agem). The modes differ only in which stored blocks the reference
-gradient reads each step and in whether gradients are clipped and noised.
-The stored blocks at task t are the reference splits of tasks 1..t-1.
+gradient reads each step (dp_agem reads them all, in one backward pass and
+one noise draw) and in whether gradients are clipped and noised. The stored
+blocks at task t are the reference splits of tasks 1..t-1.
 
 All randomness is drawn from addressed substreams keyed by
-(role, task, step[, block]) under the run seed, so two runs with the same
+(role, task, step[, block ids]) under the run seed, so two runs with the same
 config are bitwise identical and the single-block and all-blocks variants
 coincide exactly when only one memory block exists.
 """
@@ -14,14 +15,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import nn
 from .accountant import DEFAULT_LAMBDA_MAX, Policy, PrivacyLedger
-from .data import TaskStream
+from .data import Dataset, TaskStream
 from .dp import NoiseConfig, add_noise
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
@@ -74,8 +75,8 @@ class TrainConfig:
             raise ConfigError("delta must be in (0, 1)")
         if self.lambda_max < 1:
             raise ConfigError("lambda_max must be >= 1")
-        if self.lca_beta < 0:
-            raise ConfigError("lca_beta must be >= 0")
+        if self.lca_beta < 0 or self.seed < 0:
+            raise ConfigError("lca_beta and seed must be >= 0")
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError("every hidden width must be >= 1")
 
@@ -114,37 +115,45 @@ def sample_indices(n, k, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=min(k, n), replace=False)
 
 
-def _batch_grad(net, batch, cfg: TrainConfig, noise_address):
+def _batch_grad(net, batch, cfg: TrainConfig, noise_address, sizes=None):
     """The gradient one step releases for a batch: the plain mean for agem;
-    otherwise the mean of the per-example clipped gradients plus noise."""
+    otherwise the mean of the per-example clipped gradients plus noise. With
+    sizes (B private groups), the mean of the groups' clipped means plus one
+    draw at std sigma*beta/sqrt(B): the law of the mean of B draws at sigma*beta."""
     if cfg.mode is Mode.AGEM:
         return nn.grad(net, batch)
-    g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound)
-    return add_noise(g, cfg.noise, noise_address)
+    g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes)
+    noise = cfg.noise if sizes is None else replace(
+        cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
+    return add_noise(g, noise, noise_address)
 
 
 def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger):
     """Mean reference gradient over the stored blocks read this step: one
     uniformly chosen block for agem and dp_cl, every block for dp_agem.
-    blocks[i] is the reference split of task i + 1. Each block's batch goes
-    through _batch_grad, and private modes charge its sampling rate."""
+    blocks[i] is the reference split of task i + 1. The blocks' batches are
+    one _batch_grad release, with one noise draw addressed by every block id
+    read; for one block that is the block's own batch and draw. Private
+    modes charge each block read at its sampling rate."""
     if cfg.mode is Mode.DP_AGEM:
         chosen = range(len(blocks))
     else:
         chosen = [sample_block(len(blocks), _rng(cfg.seed, _ROLE_BLOCK, task_id, step))]
-    grads = []
+    batches = []
     for i in chosen:
         block, block_id = blocks[i], i + 1
         idx = sample_indices(len(block), cfg.ref_batch_size,
                              _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block_id))
-        grads.append(_batch_grad(net, block.subset(idx), cfg,
-                                 (_ROLE_REF_NOISE, task_id, step, block_id)))
+        batches.append(block.subset(idx))
         if ledger is not None:
-            q = len(idx) / len(block)
-            if cfg.mode is not Mode.DP_AGEM:
-                q = (1.0 / len(blocks)) * q
-            ledger.track_ref_step(task_id, block_id, q)
-    return np.mean(grads, axis=0)
+            share = 1.0 if cfg.mode is Mode.DP_AGEM else 1.0 / len(blocks)
+            ledger.track_ref_step(task_id, block_id, share * (len(idx) / len(block)))
+    address = (_ROLE_REF_NOISE, task_id, step, *(i + 1 for i in chosen))
+    if len(batches) == 1:
+        return _batch_grad(net, batches[0], cfg, address)
+    joint = Dataset(np.concatenate([b.x for b in batches]),
+                    np.concatenate([b.y for b in batches]), batches[0].num_classes)
+    return _batch_grad(net, joint, cfg, address, [len(b) for b in batches])
 
 
 def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_callback=None):

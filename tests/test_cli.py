@@ -66,6 +66,7 @@ BAD_INPUTS = {
     "lambda_max_0": ["--lambda-max", "0"],
     "delta_2": ["--delta", "2"],
     "negative_lca_beta": ["--lca-beta", "-1"],
+    "negative_seed": ["--seed", "-1"],
     "missing_archive": ["--images", "/nonexistent", "--labels", "/nonexistent"],
     "sigma_nan": ["--sigma", "nan"],
     "clip_inf": ["--clip", "inf"],

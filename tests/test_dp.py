@@ -69,6 +69,11 @@ def test_clip_norm_bound_and_idempotence(seed, log_scale, beta):
         assert cos == pytest.approx(1.0, abs=1e-9)
 
 
+def test_negative_noise_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        NoiseConfig(seed=-1)
+
+
 def test_add_noise_sigma_zero_is_identity():
     g = np.array([1.0, -2.0, 3.0])
     cfg = NoiseConfig(sigma=0.0, clip_bound=0.5, seed=3)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcl import nn
+from dpcl import dp, nn
 from dpcl.accountant import MomentState
 from dpcl.data import TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
@@ -16,10 +18,12 @@ from dpcl.trainer import (
     _ROLE_BATCH,
     _ROLE_BLOCK,
     _ROLE_REF_IDX,
+    _ROLE_REF_NOISE,
     _batch_grad,
     _ref_grad,
     project_gradient,
     run_stream,
+    sample_indices,
     train_task,
 )
 
@@ -190,6 +194,76 @@ def test_dp_agem_noiseless_single_block_ref_gradient():
     assert np.allclose(g_ref, nn.grad(net, block), atol=1e-12)
 
 
+class RefStepRecorder:
+    """Stands in for the ledger and records the block ids it is charged for."""
+
+    def __init__(self):
+        self.block_ids = []
+
+    def track_ref_step(self, task_id, block_id, q):
+        self.block_ids.append(block_id)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 4])
+def test_dp_agem_ref_step_is_one_backward_and_one_draw(n_blocks, monkeypatch):
+    stream = small_stream(5)
+    blocks = [ref for _, ref, _, _ in stream.tasks[:n_blocks]]
+    cfg = TrainConfig(mode=Mode.DP_AGEM, hidden_dims=(8,), ref_batch_size=4, seed=2)
+    net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
+    backward_rows, addresses = [], []
+    real_backward, real_noise_rng = nn._backward, dp.noise_rng
+
+    def counted_backward(net, batch):
+        backward_rows.append(len(batch))
+        return real_backward(net, batch)
+
+    def counted_noise_rng(seed, address=()):
+        addresses.append(tuple(address))
+        return real_noise_rng(seed, address)
+
+    monkeypatch.setattr(nn, "_backward", counted_backward)
+    monkeypatch.setattr(dp, "noise_rng", counted_noise_rng)
+    ledger = RefStepRecorder()
+    _ref_grad(net, blocks, n_blocks + 1, 3, cfg, ledger)
+    assert backward_rows == [n_blocks * cfg.ref_batch_size]
+    assert addresses == [(_ROLE_REF_NOISE, n_blocks + 1, 3, *range(1, n_blocks + 1))]
+    assert ledger.block_ids == list(range(1, n_blocks + 1))
+
+
+def three_unequal_blocks():
+    stream = small_stream(3, per_class=40, seed=4)
+    return [ref.subset(np.arange(n)) for (_, ref, _, _), n in zip(stream.tasks, (7, 11, 15))]
+
+
+def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
+    blocks = three_unequal_blocks()
+    cfg = TrainConfig(mode=Mode.DP_AGEM, noise=NoiseConfig(sigma=0.0, clip_bound=0.05),
+                      hidden_dims=(8,), ref_batch_size=9, seed=4)
+    net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
+    expected = np.mean([
+        nn.clipped_mean_grad(net, block.subset(sample_indices(
+            len(block), cfg.ref_batch_size, _rng(cfg.seed, _ROLE_REF_IDX, 4, 0, block_id))),
+            cfg.noise.clip_bound)
+        for block_id, block in enumerate(blocks, start=1)], axis=0)
+    g_ref = _ref_grad(net, blocks, 4, 0, cfg, None)
+    # equal up to GEMM row blocking: one pass over 7 + 9 + 9 rows against three
+    assert np.abs(g_ref - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_dp_agem_ref_noise_is_one_draw_at_sigma_beta_over_root_blocks():
+    """The released reference gradient keeps the law of the mean of one
+    N(0, sigma^2 beta^2) draw per block."""
+    blocks = three_unequal_blocks()
+    beta = 0.05
+    cfg = TrainConfig(mode=Mode.DP_AGEM, noise=NoiseConfig(sigma=1.0, clip_bound=beta, seed=6),
+                      hidden_dims=(256,), ref_batch_size=9, seed=4)
+    net = nn.DenseNet.create([blocks[0].feature_dim, 256, 3], seed=cfg.seed)
+    assert net.num_params > 3_000
+    noiseless = replace(cfg, noise=replace(cfg.noise, sigma=0.0))
+    diff = _ref_grad(net, blocks, 4, 0, cfg, None) - _ref_grad(net, blocks, 4, 0, noiseless, None)
+    assert np.std(diff) == pytest.approx(cfg.noise.sigma * beta / np.sqrt(3), rel=0.05)
+
+
 def test_run_stream_single_task_structure():
     stream = small_stream(1)
     cfg = agem_cfg(seed=5)
@@ -274,3 +348,8 @@ def test_curve_averages_the_per_task_traces():
     result = run_stream(stream, cfg)
     assert result.curve.shape == (cfg.steps_per_task + 1,)
     assert np.all((result.curve >= 0.0) & (result.curve <= 1.0))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
