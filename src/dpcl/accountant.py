@@ -17,16 +17,20 @@ it once per distinct (q, sigma), in one array pass over all orders, and
 every later step adds the stored vector. The states still sum step by step,
 so the moments are bitwise what re-evaluating the closed form at every step
 gives.
+
+`_log_gamma` (Cephes `lgam`, behind `scipy.special.gammaln`) and `_logsumexp_rows`
+(scipy 1.17's `logsumexp` on real input) repeat scipy's float operations in
+order, so the moments are bitwise scipy's and the package needs numpy alone.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, InputError, StateError
 
@@ -36,6 +40,35 @@ DEFAULT_LAMBDA_MAX = 64
 class Policy(Enum):
     LEMMA1 = "lemma1"  # every stored block charged at every later task
     LEMMA2 = "lemma2"  # one randomly chosen block charged per task
+
+
+_LGAM_SERIES = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+                -2.77777777730099687205e-3, 8.33333333333331927722e-2)  # Cephes, x < 1000
+_LGAM_SERIES_LARGE = (1 / 1260, -1 / 360, 1 / 12)  # Cephes' literals are these doubles
+
+
+def _log_gamma(x):
+    """log Gamma(x) for an integer x >= 1, in the float operations of Cephes lgam."""
+    if x < 13:
+        return math.log(math.factorial(x - 1))  # the exact product, then a log
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # + log(sqrt(2 pi))
+    if x > 1e8:
+        return q
+    p, series = 1.0 / (x * x), 0.0
+    for c in _LGAM_SERIES if x < 1000.0 else _LGAM_SERIES_LARGE:
+        series = series * p + c  # Horner; the first pass gives c exactly
+    return q + series / x
+
+
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)) for real rows whose maxima are not -inf or NaN;
+    every element equal to its row's maximum leaves the sum and is counted."""
+    a_max = np.max(a, axis=1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=1, keepdims=True, dtype=a.dtype)
+    s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+    return (np.log1p(s / count) + np.log(count) + a_max)[:, 0]
 
 
 def step_log_moment(q, sigma, lam):
@@ -59,10 +92,10 @@ def step_log_moment(q, sigma, lam):
     else:
         m = m[:, None]  # one row per order, one column per binomial term i
         i = np.arange(m.max() + 1)
-        log_fact = gammaln(i + 1.0)
+        log_fact = np.array([_log_gamma(k) for k in range(1, len(i) + 1)])
         log_binom = log_fact[m] - log_fact[i] - log_fact[np.maximum(m - i, 0)]
         terms = log_binom + i * np.log(q) + (m - i) * np.log1p(-q) + (i * i - i) / (2.0 * sigma * sigma)
-        alpha = logsumexp(np.where(i <= m, terms, -np.inf), axis=1)
+        alpha = _logsumexp_rows(np.where(i <= m, terms, -np.inf))
     return float(alpha[0]) if lams.ndim == 0 else alpha
 
 

@@ -83,7 +83,7 @@ def _build_stream(spec: RunSpec):
                                 ref_fraction=spec.ref_fraction)
 
 
-def _build_config(spec: RunSpec, train_size: int) -> TrainConfig:
+def _build_config(spec: RunSpec, train_size: int, noise: NoiseConfig) -> TrainConfig:
     p = spec.sampling_rate
     if spec.batch is not None:
         p = min(1.0, spec.batch / train_size)
@@ -94,7 +94,7 @@ def _build_config(spec: RunSpec, train_size: int) -> TrainConfig:
         sampling_rate=p,
         ref_batch_size=spec.ref_batch,
         epochs_per_task=spec.epochs,
-        noise=NoiseConfig(sigma=spec.sigma, clip_bound=spec.clip, seed=spec.seed),
+        noise=noise,
         projection_rule=ProjectionRule(spec.projection),
         hidden_dims=hidden,
         delta=spec.delta,
@@ -112,8 +112,10 @@ def cmd_run(spec: RunSpec) -> int:
         nearest = next(p for p in (out, *out.parents) if p.exists())
         if not nearest.is_dir():
             raise ConfigError(f"--out {out}: {nearest} is not a directory")
+        # the noise config checks the seed before the stream generator sees it
+        noise = NoiseConfig(sigma=spec.sigma, clip_bound=spec.clip, seed=spec.seed)
         stream = _build_stream(spec)
-        cfg = _build_config(spec, len(stream.tasks[0][0]))
+        cfg = _build_config(spec, len(stream.tasks[0][0]), noise)
     except (ConfigError, ParseError, InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

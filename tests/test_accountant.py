@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 import dpcl.accountant as accountant
 from dpcl.accountant import (
@@ -293,3 +294,43 @@ def test_ledger_evaluates_each_rate_once_per_ledger(monkeypatch):
     assert len(calls) == 2 * per_ledger
     assert sorted({q for q, _, _ in calls}) == [0.025, 0.05, 0.1]
     assert all(np.array_equal(lam, np.arange(1, lambda_max + 1)) for _, _, lam in calls)
+
+
+def test_log_gamma_matches_gammaln_bitwise():
+    # 1..12 exact product, 13..999 Stirling series, 1000..1e8 three terms, above 1e8 none
+    ks = list(range(1, 2001)) + [10**8 - 1, 10**8, 10**8 + 1, 3 * 10**9, 10**15 + 7]
+    got = np.array([accountant._log_gamma(k) for k in ks])
+    assert np.array_equal(got, gammaln(np.array(ks, dtype=float)))
+
+
+def test_logsumexp_rows_matches_scipy_on_the_moment_terms(monkeypatch):
+    seen = []
+    real = accountant._logsumexp_rows
+
+    def recording(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(accountant, "_logsumexp_rows", recording)
+    for q in (1e-8, 1e-4, 0.01, 0.05, 0.1, 1 / 3 * 0.2, 0.5, 0.9):
+        for sigma in (0.3, 0.8, 1.0, 1.3, 2.0, 4.0, 8.0):
+            for lambda_max in (1, 2, 7, 16, 64):
+                step_log_moment(q, sigma, np.arange(1, lambda_max + 1))
+    assert len(seen) == 8 * 7 * 5
+    for terms in seen:
+        assert np.isneginf(terms).any() or len(terms) == 1  # the padding is exercised
+        assert np.array_equal(real(terms), logsumexp(terms, axis=1))
+
+
+def test_logsumexp_rows_sums_every_tied_maximum():
+    # keeping the second or third maximum inside the sum changes the last bit of rows 0 and 1
+    rows = np.array([
+        [-3.0, 2.0, -3.0, 2.0, -np.inf, -np.inf],    # two tied maxima
+        [0.0, -3.0, 0.0, -np.inf, 0.0, -2.0],        # three tied maxima
+        [1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3],        # every element tied
+        [40.0, -np.inf, -np.inf, -np.inf, -np.inf, -np.inf],  # one finite entry
+    ])
+    got = accountant._logsumexp_rows(rows)
+    assert np.array_equal(got, logsumexp(rows, axis=1))
+    assert got[1] == pytest.approx(np.log(3.0 + np.exp(-3.0) + np.exp(-2.0)), rel=1e-15)
+    assert got[3] == 40.0

@@ -1,6 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +280,35 @@ def test_main_run_cli(tmp_path):
                  "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "metrics.csv").exists()
+
+
+def test_run_negative_seed_is_named_before_the_stream_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dpcl.cli, "make_synthetic", lambda *a: pytest.fail("stream built"))
+    out = tmp_path / "bad"
+    assert main(["run", "--tasks", "2", "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert not out.exists()
+
+
+IMPORT_CHECK = """
+import sys
+import dpcl, dpcl.cli
+out = sys.argv[1]
+assert dpcl.cli.main(["run", "--mode", "dp_cl", "--tasks", "2", "--epochs", "1",
+                      "--synth-dim", "8", "--synth-classes", "3", "--synth-per-class", "10",
+                      "--hidden", "8", "--seed", "1", "--out", out]) == 0
+assert dpcl.cli.main(["budget-curve", "--tasks", "3"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    src = str(Path(dpcl.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_CHECK, str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "budget_report.csv").exists()
