@@ -161,8 +161,8 @@ def budget_curve_table(eps_mean, eps_std, n_tasks, seed):
         raise ConfigError("number of tasks must be >= 1")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
-    if not (np.isfinite(eps_mean) and np.isfinite(eps_std)):
-        raise ConfigError("eps_mean and eps_std must be finite")
+    if not (0.0 <= eps_mean < np.inf and 0.0 <= eps_std < np.inf):
+        raise ConfigError("eps_mean and eps_std must be finite and >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(401,)))
     eps_train = eps_mean + eps_std * rng.standard_normal(n_tasks)
     eps_ref = eps_mean + eps_std * rng.standard_normal(n_tasks)

@@ -35,14 +35,15 @@ def noise_rng(seed, address=()) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(201,) + tuple(address)))
 
 
-def add_noise(g, cfg: NoiseConfig, address=()) -> np.ndarray:
-    """g + i.i.d. N(0, sigma^2 * beta^2) per coordinate, reproducible per address."""
+def add_noise(g, cfg: NoiseConfig, address=(), *, out=None) -> np.ndarray:
+    """g + i.i.d. N(0, sigma^2 * beta^2) per coordinate, reproducible per
+    address; drawn and summed in out (new when None), which must not overlap g."""
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise NumericError("gradient contains NaN/Inf")
     if cfg.sigma == 0.0:
-        return g.copy()
-    z = noise_rng(cfg.seed, address).standard_normal(g.shape)
+        return np.positive(g, out=out)  # a copy of g
+    z = noise_rng(cfg.seed, address).standard_normal(g.shape, out=out)
     z *= cfg.sigma * cfg.clip_bound
     z += g
     return z

@@ -9,6 +9,10 @@ All randomness is drawn from addressed substreams keyed by
 (role, task, step[, block ids]) under the run seed, so two runs with the same
 config are bitwise identical and the single-block and all-blocks variants
 coincide exactly when only one memory block exists.
+
+A step writes its gradients, noise and update into three gradient-sized
+buffers that run_stream makes once per run; called without out=, nn.grad,
+nn.clipped_mean_grad, dp.add_noise and project_gradient return new arrays.
 """
 
 from __future__ import annotations
@@ -89,10 +93,12 @@ def _rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def project_gradient(g, g_ref, rule: ProjectionRule) -> np.ndarray:
+def project_gradient(g, g_ref, rule: ProjectionRule, *, out=None) -> np.ndarray:
     """Remove from g its component along g_ref (the constraint-satisfying
     update direction); with ONLY_IF_CONFLICT, only when the gradients oppose.
-    A zero reference gradient leaves g unchanged."""
+    A zero reference gradient leaves g unchanged. An unchanged g is returned
+    as is; a projection is written into out (a new array when None), which
+    must not share memory with g."""
     g = np.asarray(g, dtype=np.float64)
     g_ref = np.asarray(g_ref, dtype=np.float64)
     denom = float(g_ref @ g_ref)
@@ -102,7 +108,9 @@ def project_gradient(g, g_ref, rule: ProjectionRule) -> np.ndarray:
     dot = float(g @ g_ref)
     if rule is ProjectionRule.ONLY_IF_CONFLICT and dot >= 0.0:
         return g
-    return g - (dot / denom) * g_ref
+    out = np.multiply(g_ref, -(dot / denom), out=out)  # bitwise g - (dot/denom) * g_ref
+    out += g
+    return out
 
 
 def sample_block(n_blocks, rng: np.random.Generator) -> int:
@@ -115,20 +123,22 @@ def sample_indices(n, k, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=min(k, n), replace=False)
 
 
-def _batch_grad(net, batch, cfg: TrainConfig, noise_address, sizes=None):
+def _batch_grad(net, batch, cfg: TrainConfig, noise_address, sizes=None, *, out=None,
+                scratch=None):
     """The gradient one step releases for a batch: the plain mean for agem;
     otherwise the mean of the per-example clipped gradients plus noise. With
     sizes (B private groups), the mean of the groups' clipped means plus one
-    draw at std sigma*beta/sqrt(B): the law of the mean of B draws at sigma*beta."""
+    draw at std sigma*beta/sqrt(B): the law of the mean of B draws at sigma*beta.
+    Written into out, with the clipped mean in scratch (new arrays when None)."""
     if cfg.mode is Mode.AGEM:
-        return nn.grad(net, batch)
-    g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes)
+        return nn.grad(net, batch, out=out)
+    g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=scratch)
     noise = cfg.noise if sizes is None else replace(
         cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
-    return add_noise(g, noise, noise_address)
+    return add_noise(g, noise, noise_address, out=out)
 
 
-def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger):
+def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, out=None, scratch=None):
     """Mean reference gradient over the stored blocks read this step: one
     uniformly chosen block for agem and dp_cl, every block for dp_agem.
     blocks[i] is the reference split of task i + 1. The blocks' batches are
@@ -150,38 +160,42 @@ def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger):
             ledger.track_ref_step(task_id, block_id, share * (len(idx) / len(block)))
     address = (_ROLE_REF_NOISE, task_id, step, *(i + 1 for i in chosen))
     if len(batches) == 1:
-        return _batch_grad(net, batches[0], cfg, address)
+        return _batch_grad(net, batches[0], cfg, address, out=out, scratch=scratch)
     joint = Dataset(np.concatenate([b.x for b in batches]),
                     np.concatenate([b.y for b in batches]), batches[0].num_classes)
-    return _batch_grad(net, joint, cfg, address, [len(b) for b in batches])
+    return _batch_grad(net, joint, cfg, address, [len(b) for b in batches],
+                       out=out, scratch=scratch)
 
 
-def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_callback=None):
+def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_callback=None,
+               buffers=None):
     """Train net on one task; when blocks (the stored reference splits of
     tasks 1..task_id-1) is not empty, every update is projected against
-    their reference gradient."""
+    their reference gradient. buffers, a (3, num_params) array made here when
+    None, holds the step's gradients; no step reads an entry it has not written."""
     n = len(train_data)
     p = cfg.sampling_rate
     params = net.get_params()
+    g_buf, ref_buf, z_buf = np.empty((3, net.num_params)) if buffers is None else buffers
     for step in range(cfg.steps_per_task):
         if step_callback is not None:
             step_callback(step, net)
         mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p
         if ledger is not None:
             ledger.track_training_step(task_id, p)
+        address = (_ROLE_TRAIN_NOISE, task_id, step)
         if mask.any():
-            g = _batch_grad(net, train_data.subset(np.flatnonzero(mask)), cfg,
-                            (_ROLE_TRAIN_NOISE, task_id, step))
+            g = _batch_grad(net, train_data.subset(np.flatnonzero(mask)), cfg, address,
+                            out=g_buf, scratch=z_buf)
         else:
             g = np.zeros(net.num_params)
             if cfg.mode is not Mode.AGEM:
-                g = add_noise(g, cfg.noise, (_ROLE_TRAIN_NOISE, task_id, step))
-        if not blocks:
-            g_tilde = g
-        else:
-            g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger)
-            g_tilde = project_gradient(g, g_ref, cfg.projection_rule)
-        params = params - cfg.learning_rate * g_tilde
+                g = add_noise(g, cfg.noise, address, out=g_buf)
+        if blocks:
+            g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger, out=ref_buf, scratch=z_buf)
+            g = project_gradient(g, g_ref, cfg.projection_rule, out=z_buf)
+        g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
+        params += g
         net.set_params(params)
     if step_callback is not None:
         step_callback(cfg.steps_per_task, net)
@@ -211,6 +225,7 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     num_classes = stream.tasks[0][0].num_classes
     net = nn.DenseNet.create([d, *cfg.hidden_dims, num_classes], seed=cfg.seed)
 
+    buffers = np.empty((3, net.num_params))  # one set for the whole run
     ledger = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
@@ -225,7 +240,7 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
 
         blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
         net = train_task(net, train_split, blocks, ledger if track_privacy else None,
-                         cfg, t, step_callback=record)
+                         cfg, t, step_callback=record, buffers=buffers)
         traces.append(trace)
         for j in range(1, t + 1):
             matrix.set(t, j, nn.accuracy(net, stream.tasks[j - 1][2]))

@@ -236,6 +236,8 @@ BAD_CURVE_INPUTS = {
     "eps_std_nan": ["--eps-std", "nan"],
     "eps_std_neg_inf": ["--eps-std=-inf"],
     "negative_seed": ["--seed", "-1"],
+    "eps_mean_negative": ["--eps-mean", "-1", "--tasks", "2"],
+    "eps_std_negative": ["--eps-std", "-0.5"],
 }
 
 

@@ -143,6 +143,23 @@ def fused_norms(net, data):
     return np.sqrt(_example_sq_norms(*_backward(net, data)))
 
 
+def test_set_params_copies_its_argument():
+    net = DenseNet.create([3, 4, 2], seed=1)
+    flat = np.arange(net.num_params, dtype=np.float64)
+    net.set_params(flat)
+    flat[:] = -1.0
+    assert np.array_equal(net.get_params(), np.arange(net.num_params, dtype=np.float64))
+
+
+def test_successive_gradients_do_not_share_memory():
+    net = DenseNet.create([4, 3, 3], seed=5)
+    data = make_synthetic(4, 3, 2, 0.6, seed=2)
+    for first, second in [(grad(net, data), grad(net, data)),
+                          (clipped_mean_grad(net, data, 0.1), clipped_mean_grad(net, data, 0.1))]:
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+
+
 def test_per_example_singleton():
     net = DenseNet.create([4, 3, 3], seed=5)
     data = make_synthetic(4, 3, 1, 0.6, seed=2).subset([0])

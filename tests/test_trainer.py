@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dpcl import dp, nn
 from dpcl.accountant import MomentState
-from dpcl.data import TaskStream, make_permuted_stream, make_synthetic
+from dpcl.data import Dataset, TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.errors import ConfigError
 from dpcl.trainer import (
@@ -19,6 +20,7 @@ from dpcl.trainer import (
     _ROLE_BLOCK,
     _ROLE_REF_IDX,
     _ROLE_REF_NOISE,
+    _ROLE_TRAIN_NOISE,
     _batch_grad,
     _ref_grad,
     project_gradient,
@@ -63,6 +65,15 @@ def test_projection_hand_value():
 def test_projection_zero_reference_returns_g():
     g = np.array([1.0, 2.0])
     assert np.array_equal(project_gradient(g, np.zeros(2), ProjectionRule.ALWAYS_EQ2), g)
+
+
+@pytest.mark.parametrize("rule", list(ProjectionRule))
+def test_projection_leaves_its_arguments_unchanged(rule):
+    g, g_ref = np.array([1.0, -2.0, 0.5]), np.array([-1.0, 1.0, 3.0])
+    g_before, ref_before = g.copy(), g_ref.copy()
+    out = project_gradient(g, g_ref, rule)
+    assert not np.array_equal(out, g)  # the pair conflicts, so both rules project
+    assert np.array_equal(g, g_before) and np.array_equal(g_ref, ref_before)
 
 
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 10, 100]))
@@ -114,6 +125,73 @@ def test_agem_matches_reference_loop_bitwise():
         blocks.append((t, ref_split))
 
     assert np.array_equal(net.get_params(), ref_net.get_params())
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_private_modes_match_reference_loop_bitwise(mode):
+    """Straight-line private loop built from the public allocating functions;
+    at task 3, dp_agem reads two stored blocks in one release."""
+    stream = small_stream(3)
+    cfg = agem_cfg(mode=mode, noise=NoiseConfig(sigma=0.7, clip_bound=0.5, seed=4))
+    beta = cfg.noise.clip_bound
+    d = stream.tasks[0][0].feature_dim
+
+    # package path
+    net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
+    for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
+        net = train_task(net, train_split, [ref for _, ref, _, _ in stream.tasks[:t - 1]],
+                         None, cfg, t)
+
+    # independent loop
+    ref_net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
+    params = ref_net.get_params()
+    for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
+        blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
+        for step in range(cfg.steps_per_task):
+            mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
+            g = (nn.clipped_mean_grad(ref_net, train_split.subset(np.flatnonzero(mask)), beta)
+                 if mask.any() else np.zeros(ref_net.num_params))
+            g = dp.add_noise(g, cfg.noise, (_ROLE_TRAIN_NOISE, t, step))
+            if blocks:
+                if mode is Mode.DP_AGEM:
+                    ids = list(range(1, t))
+                else:
+                    ids = [1 + _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))]
+                batches = [blocks[i - 1].subset(sample_indices(
+                    len(blocks[i - 1]), cfg.ref_batch_size, _rng(cfg.seed, _ROLE_REF_IDX, t, step, i)))
+                    for i in ids]
+                address = (_ROLE_REF_NOISE, t, step, *ids)
+                if len(batches) == 1:
+                    g_ref = dp.add_noise(nn.clipped_mean_grad(ref_net, batches[0], beta),
+                                         cfg.noise, address)
+                else:
+                    joint = Dataset(np.concatenate([b.x for b in batches]),
+                                    np.concatenate([b.y for b in batches]), 3)
+                    sizes = [len(b) for b in batches]
+                    noise = replace(cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
+                    g_ref = dp.add_noise(nn.clipped_mean_grad(ref_net, joint, beta, sizes),
+                                         noise, address)
+                g = project_gradient(g, g_ref, cfg.projection_rule)
+            params = params - cfg.learning_rate * g
+            ref_net.set_params(params)
+
+    assert np.array_equal(net.get_params(), ref_net.get_params())
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_train_task_never_reads_a_buffer_before_writing_it(mode):
+    stream = small_stream(3)
+    sigma = 0.0 if mode is Mode.AGEM else 0.7
+    cfg = agem_cfg(mode=mode, noise=NoiseConfig(sigma=sigma, clip_bound=0.5, seed=4))
+    blocks = [ref for _, ref, _, _ in stream.tasks[:2]]
+    d = stream.tasks[0][0].feature_dim
+    fresh = train_task(nn.DenseNet.create([d, 8, 3], seed=1), stream.tasks[2][0], blocks,
+                       None, cfg, 3)
+    poisoned = nn.DenseNet.create([d, 8, 3], seed=1)
+    buffers = np.full((3, poisoned.num_params), np.nan)
+    train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, buffers=buffers)
+    assert np.array_equal(poisoned.get_params(), fresh.get_params())
+    assert np.all(np.isfinite(buffers))  # every buffer was written by the steps
 
 
 def test_first_task_never_touches_memory():
