@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import secrets
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,10 @@ EXIT_NUMERIC = 3
 @dataclass
 class RunSpec:
     """Everything needed to reproduce one `run` invocation; the only home of
-    the `run` defaults (the parser supplies just the options given)."""
+    the `run` defaults (the parser supplies just the options given). A run
+    without a seed draws one from OS entropy and does not record it: whoever
+    holds the seed can regenerate every noise draw, and no epsilon holds
+    against them."""
 
     mode: str = Mode.DP_CL.value
     tasks: int = 5
@@ -42,7 +46,7 @@ class RunSpec:
     lambda_max: int = DEFAULT_LAMBDA_MAX
     policy: str = Policy.LEMMA2.value
     projection: str = ProjectionRule.ALWAYS_EQ2.value
-    seed: int = 0
+    seed: int | None = None
     out: str = "runs/out"
     images: str | None = None
     labels: str | None = None
@@ -58,7 +62,8 @@ class RunSpec:
     learning_rate: float = 0.1
 
     def manifest_lines(self):
-        lines = [f"{key} = {value}" for key, value in sorted(vars(self).items())]
+        values = {**vars(self), "seed": "unrecorded" if self.seed is None else self.seed}
+        lines = [f"{key} = {value}" for key, value in sorted(values.items())]
         lines.append(f"timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S')}")
         return lines
 
@@ -107,15 +112,16 @@ def _build_config(spec: RunSpec, train_size: int, noise: NoiseConfig) -> TrainCo
 
 def cmd_run(spec: RunSpec) -> int:
     out = Path(spec.out)
+    run = spec if spec.seed is not None else replace(spec, seed=secrets.randbits(128))
     try:
         # fail before training when --out cannot become a directory
         nearest = next(p for p in (out, *out.parents) if p.exists())
         if not nearest.is_dir():
             raise ConfigError(f"--out {out}: {nearest} is not a directory")
         # the noise config checks the seed before the stream generator sees it
-        noise = NoiseConfig(sigma=spec.sigma, clip_bound=spec.clip, seed=spec.seed)
-        stream = _build_stream(spec)
-        cfg = _build_config(spec, len(stream.tasks[0][0]), noise)
+        noise = NoiseConfig(sigma=run.sigma, clip_bound=run.clip, seed=run.seed)
+        stream = _build_stream(run)
+        cfg = _build_config(run, len(stream.tasks[0][0]), noise)
     except (ConfigError, ParseError, InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,12 +13,23 @@ coincide exactly when only one memory block exists.
 A step writes its gradients, noise and update into three gradient-sized
 buffers that run_stream makes once per run; called without out=, nn.grad,
 nn.clipped_mean_grad, dp.add_noise and project_gradient return new arrays.
+
+A private step of a net with at least 2**16 parameters draws its training
+and reference noise (dp.draw_noise) on a helper thread, which train_task
+starts for the task and joins before it returns or raises, while this thread
+evaluates and computes the clipped means; add_noise waits for each draw where
+it finishes that release. numpy draws without holding the interpreter lock,
+so the draws use a second core. Smaller nets draw inline, because there the
+handoff costs more than the overlap saves. The draws and float operations are
+the same either way, so the results are bitwise equal.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -27,7 +38,7 @@ import numpy as np
 from . import nn
 from .accountant import DEFAULT_LAMBDA_MAX, Policy, PrivacyLedger
 from .data import Dataset, TaskStream
-from .dp import NoiseConfig, add_noise
+from .dp import NoiseConfig, add_noise, draw_noise
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
 
@@ -39,6 +50,9 @@ _ROLE_BLOCK = 11
 _ROLE_REF_IDX = 12
 _ROLE_REF_NOISE = 13
 _ROLE_TRAIN_NOISE = 14
+
+# private steps of nets this large draw their noise on a helper thread
+_DRAW_AHEAD_MIN_PARAMS = 1 << 16
 
 
 class Mode(Enum):
@@ -124,31 +138,41 @@ def sample_indices(n, k, rng: np.random.Generator) -> np.ndarray:
 
 
 def _batch_grad(net, batch, cfg: TrainConfig, noise_address, sizes=None, *, out=None,
-                scratch=None):
+                scratch=None, drawn=None):
     """The gradient one step releases for a batch: the plain mean for agem;
     otherwise the mean of the per-example clipped gradients plus noise. With
     sizes (B private groups), the mean of the groups' clipped means plus one
     draw at std sigma*beta/sqrt(B): the law of the mean of B draws at sigma*beta.
-    Written into out, with the clipped mean in scratch (new arrays when None)."""
+    Written into out, with the clipped mean in scratch (new arrays when None);
+    drawn waits for the draw made ahead into out (see add_noise)."""
     if cfg.mode is Mode.AGEM:
         return nn.grad(net, batch, out=out)
     g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=scratch)
     noise = cfg.noise if sizes is None else replace(
         cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
-    return add_noise(g, noise, noise_address, out=out)
+    return add_noise(g, noise, noise_address, out=out, drawn=drawn)
 
 
-def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, out=None, scratch=None):
-    """Mean reference gradient over the stored blocks read this step: one
-    uniformly chosen block for agem and dp_cl, every block for dp_agem.
-    blocks[i] is the reference split of task i + 1. The blocks' batches are
-    one _batch_grad release, with one noise draw addressed by every block id
-    read; for one block that is the block's own batch and draw. Private
-    modes charge each block read at its sampling rate."""
+def _blocks_read(n_blocks, task_id, step, cfg: TrainConfig):
+    """The stored blocks the reference gradient reads this step, as indices
+    into the block list, and the address of their one noise draw: one
+    uniformly chosen block for agem and dp_cl, every block for dp_agem."""
     if cfg.mode is Mode.DP_AGEM:
-        chosen = range(len(blocks))
+        chosen = range(n_blocks)
     else:
-        chosen = [sample_block(len(blocks), _rng(cfg.seed, _ROLE_BLOCK, task_id, step))]
+        chosen = [sample_block(n_blocks, _rng(cfg.seed, _ROLE_BLOCK, task_id, step))]
+    return chosen, (_ROLE_REF_NOISE, task_id, step, *(i + 1 for i in chosen))
+
+
+def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, read=None, out=None,
+              scratch=None, drawn=None):
+    """Mean reference gradient over the stored blocks read this step, read
+    (from _blocks_read) or chosen here when None. blocks[i] is the reference
+    split of task i + 1. The blocks' batches are one _batch_grad release, with
+    one noise draw addressed by every block id read; for one block that is the
+    block's own batch and draw. Private modes charge each block read at its
+    sampling rate."""
+    chosen, address = _blocks_read(len(blocks), task_id, step, cfg) if read is None else read
     batches = []
     for i in chosen:
         block, block_id = blocks[i], i + 1
@@ -158,13 +182,12 @@ def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, out=None,
         if ledger is not None:
             share = 1.0 if cfg.mode is Mode.DP_AGEM else 1.0 / len(blocks)
             ledger.track_ref_step(task_id, block_id, share * (len(idx) / len(block)))
-    address = (_ROLE_REF_NOISE, task_id, step, *(i + 1 for i in chosen))
     if len(batches) == 1:
-        return _batch_grad(net, batches[0], cfg, address, out=out, scratch=scratch)
+        return _batch_grad(net, batches[0], cfg, address, out=out, scratch=scratch, drawn=drawn)
     joint = Dataset(np.concatenate([b.x for b in batches]),
                     np.concatenate([b.y for b in batches]), batches[0].num_classes)
     return _batch_grad(net, joint, cfg, address, [len(b) for b in batches],
-                       out=out, scratch=scratch)
+                       out=out, scratch=scratch, drawn=drawn)
 
 
 def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_callback=None,
@@ -172,31 +195,43 @@ def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_
     """Train net on one task; when blocks (the stored reference splits of
     tasks 1..task_id-1) is not empty, every update is projected against
     their reference gradient. buffers, a (3, num_params) array made here when
-    None, holds the step's gradients; no step reads an entry it has not written."""
+    None, holds the step's gradients; no step reads an entry it has not
+    written, and none is written after this returns or raises."""
     n = len(train_data)
     p = cfg.sampling_rate
     params = net.get_params()
     g_buf, ref_buf, z_buf = np.empty((3, net.num_params)) if buffers is None else buffers
-    for step in range(cfg.steps_per_task):
-        if step_callback is not None:
-            step_callback(step, net)
-        mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p
-        if ledger is not None:
-            ledger.track_training_step(task_id, p)
-        address = (_ROLE_TRAIN_NOISE, task_id, step)
-        if mask.any():
-            g = _batch_grad(net, train_data.subset(np.flatnonzero(mask)), cfg, address,
-                            out=g_buf, scratch=z_buf)
-        else:
-            g = np.zeros(net.num_params)
-            if cfg.mode is not Mode.AGEM:
-                g = add_noise(g, cfg.noise, address, out=g_buf)
-        if blocks:
-            g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger, out=ref_buf, scratch=z_buf)
-            g = project_gradient(g, g_ref, cfg.projection_rule, out=z_buf)
-        g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
-        params += g
-        net.set_params(params)
+    draw_ahead = (cfg.mode is not Mode.AGEM and cfg.noise.sigma > 0
+                  and net.num_params >= _DRAW_AHEAD_MIN_PARAMS)
+    train_drawn = ref_drawn = None
+    with ThreadPoolExecutor(1) if draw_ahead else nullcontext() as pool:
+        for step in range(cfg.steps_per_task):
+            address = (_ROLE_TRAIN_NOISE, task_id, step)
+            read = _blocks_read(len(blocks), task_id, step, cfg) if blocks else None
+            if pool is not None:
+                train_drawn = pool.submit(draw_noise, cfg.noise, address, g_buf).result
+                if read is not None:
+                    ref_drawn = pool.submit(draw_noise, cfg.noise, read[1], ref_buf).result
+            if step_callback is not None:
+                step_callback(step, net)
+            mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p
+            if ledger is not None:
+                ledger.track_training_step(task_id, p)
+            if mask.any():
+                g = _batch_grad(net, train_data.subset(np.flatnonzero(mask)), cfg, address,
+                                out=g_buf, scratch=z_buf, drawn=train_drawn)
+            elif cfg.mode is Mode.AGEM:
+                g = g_buf
+                g.fill(0.0)
+            else:  # the noise alone, summed with 0.0 as with a zero gradient
+                g = add_noise(0.0, cfg.noise, address, out=g_buf, drawn=train_drawn)
+            if read is not None:
+                g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger, read=read,
+                                  out=ref_buf, scratch=z_buf, drawn=ref_drawn)
+                g = project_gradient(g, g_ref, cfg.projection_rule, out=z_buf)
+            g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
+            params += g
+            net.set_params(params)
     if step_callback is not None:
         step_callback(cfg.steps_per_task, net)
     return net

@@ -293,6 +293,42 @@ def test_run_negative_seed_is_named_before_the_stream_is_built(tmp_path, capsys,
     assert not out.exists()
 
 
+def recorded_seeds(monkeypatch):
+    """(run seed, noise seed) of every run_stream call from the CLI."""
+    seeds = []
+    real = dpcl.cli.run_stream
+
+    def recording(stream, cfg):
+        seeds.append((cfg.seed, cfg.noise.seed))
+        return real(stream, cfg)
+
+    monkeypatch.setattr(dpcl.cli, "run_stream", recording)
+    return seeds
+
+
+PRIVATE_RUN = ["run", "--mode", "dp_cl", "--tasks", "2", "--epochs", "1", "--synth-dim", "8",
+               "--synth-classes", "3", "--synth-per-class", "10", "--hidden", "8"]
+
+
+def test_run_without_seed_draws_one_and_does_not_record_it(tmp_path, monkeypatch):
+    seeds = recorded_seeds(monkeypatch)
+    for name in ("a", "b"):
+        assert main([*PRIVATE_RUN, "--out", str(tmp_path / name)]) == EXIT_OK
+    assert seeds[0] != seeds[1]
+    for (seed, noise_seed), name in zip(seeds, ("a", "b")):
+        assert noise_seed == seed
+        artifacts = "".join((tmp_path / name / f).read_text() for f in ARTIFACTS)
+        assert str(seed) not in artifacts
+        assert "seed = unrecorded" in (tmp_path / name / "run_manifest.cfg").read_text().splitlines()
+
+
+def test_run_with_seed_uses_and_records_it(tmp_path, monkeypatch):
+    seeds = recorded_seeds(monkeypatch)
+    assert main([*PRIVATE_RUN, "--seed", "0", "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert seeds == [(0, 0)]
+    assert "seed = 0" in (tmp_path / "run" / "run_manifest.cfg").read_text().splitlines()
+
+
 IMPORT_CHECK = """
 import sys
 import dpcl, dpcl.cli

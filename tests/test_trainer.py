@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcl import dp, nn
+from dpcl import dp, nn, trainer
 from dpcl.accountant import MomentState
 from dpcl.data import Dataset, TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
-from dpcl.errors import ConfigError
+from dpcl.errors import ConfigError, NumericError
 from dpcl.trainer import (
     Mode,
     ProjectionRule,
@@ -87,20 +91,18 @@ def test_projection_orthogonality_property(seed, dim):
     assert conflict_out @ g_ref >= -1e-9 * np.linalg.norm(g) * np.linalg.norm(g_ref)
 
 
-def test_agem_matches_reference_loop_bitwise():
-    """Straight-line reimplementation of the noiseless update loop."""
-    stream = small_stream(2)
-    cfg = agem_cfg()
-    d = stream.tasks[0][0].feature_dim
-
-    # package path
-    net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
+def train_package(stream, cfg, dims):
+    """Final parameters of train_task run through the stream without a ledger."""
+    net = nn.DenseNet.create(dims, seed=cfg.seed)
     for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
         net = train_task(net, train_split, [ref for _, ref, _, _ in stream.tasks[:t - 1]],
                          None, cfg, t)
+    return net.get_params()
 
-    # independent loop
-    ref_net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
+
+def agem_reference_params(stream, cfg, dims):
+    """Straight-line reimplementation of the noiseless update loop."""
+    ref_net = nn.DenseNet.create(dims, seed=cfg.seed)
     params = ref_net.get_params()
     blocks = []
     for t, (train_split, ref_split, _, _) in enumerate(stream.tasks, start=1):
@@ -123,27 +125,14 @@ def test_agem_matches_reference_loop_bitwise():
             params = params - cfg.learning_rate * g
             ref_net.set_params(params)
         blocks.append((t, ref_split))
+    return params
 
-    assert np.array_equal(net.get_params(), ref_net.get_params())
 
-
-@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
-def test_private_modes_match_reference_loop_bitwise(mode):
+def private_reference_params(stream, cfg, dims):
     """Straight-line private loop built from the public allocating functions;
-    at task 3, dp_agem reads two stored blocks in one release."""
-    stream = small_stream(3)
-    cfg = agem_cfg(mode=mode, noise=NoiseConfig(sigma=0.7, clip_bound=0.5, seed=4))
+    from task 3 on, dp_agem reads several stored blocks in one release."""
     beta = cfg.noise.clip_bound
-    d = stream.tasks[0][0].feature_dim
-
-    # package path
-    net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
-    for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
-        net = train_task(net, train_split, [ref for _, ref, _, _ in stream.tasks[:t - 1]],
-                         None, cfg, t)
-
-    # independent loop
-    ref_net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
+    ref_net = nn.DenseNet.create(dims, seed=cfg.seed)
     params = ref_net.get_params()
     for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
         blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
@@ -153,7 +142,7 @@ def test_private_modes_match_reference_loop_bitwise(mode):
                  if mask.any() else np.zeros(ref_net.num_params))
             g = dp.add_noise(g, cfg.noise, (_ROLE_TRAIN_NOISE, t, step))
             if blocks:
-                if mode is Mode.DP_AGEM:
+                if cfg.mode is Mode.DP_AGEM:
                     ids = list(range(1, t))
                 else:
                     ids = [1 + _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))]
@@ -166,7 +155,8 @@ def test_private_modes_match_reference_loop_bitwise(mode):
                                          cfg.noise, address)
                 else:
                     joint = Dataset(np.concatenate([b.x for b in batches]),
-                                    np.concatenate([b.y for b in batches]), 3)
+                                    np.concatenate([b.y for b in batches]),
+                                    batches[0].num_classes)
                     sizes = [len(b) for b in batches]
                     noise = replace(cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
                     g_ref = dp.add_noise(nn.clipped_mean_grad(ref_net, joint, beta, sizes),
@@ -174,12 +164,119 @@ def test_private_modes_match_reference_loop_bitwise(mode):
                 g = project_gradient(g, g_ref, cfg.projection_rule)
             params = params - cfg.learning_rate * g
             ref_net.set_params(params)
+    return params
 
-    assert np.array_equal(net.get_params(), ref_net.get_params())
+
+def private_cfg(mode, **kw):
+    return agem_cfg(mode=mode, noise=NoiseConfig(sigma=0.7, clip_bound=0.5, seed=4), **kw)
 
 
+def record_draw_threads(monkeypatch, helper_delay=0.0):
+    """Record, for every noise draw, whether it ran on the main thread; a
+    draw on another thread first sleeps helper_delay seconds."""
+    on_main = []
+    real = dp.noise_rng
+
+    def recorded(seed, address=()):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if not on_main[-1]:
+            time.sleep(helper_delay)
+        return real(seed, address)
+
+    monkeypatch.setattr(dp, "noise_rng", recorded)
+    return on_main
+
+
+def test_agem_matches_reference_loop_bitwise():
+    stream = small_stream(2)
+    cfg = agem_cfg()
+    dims = [stream.tasks[0][0].feature_dim, 8, 3]
+    assert np.array_equal(train_package(stream, cfg, dims), agem_reference_params(stream, cfg, dims))
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_private_modes_match_reference_loop_bitwise(mode):
+    stream = small_stream(3)
+    cfg = private_cfg(mode)
+    dims = [stream.tasks[0][0].feature_dim, 8, 3]
+    assert np.array_equal(train_package(stream, cfg, dims),
+                          private_reference_params(stream, cfg, dims))
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_private_modes_drawing_ahead_match_reference_loop_bitwise(mode, monkeypatch):
+    """With the gate at 0, the small nets draw their noise on the helper thread."""
+    stream = small_stream(3)
+    cfg = private_cfg(mode)
+    dims = [stream.tasks[0][0].feature_dim, 8, 3]
+    inline = run_stream(stream, cfg)
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    on_main = record_draw_threads(monkeypatch)
+    ahead = run_stream(stream, cfg)
+    assert on_main and not any(on_main)
+    assert np.array_equal(ahead.net.get_params(), inline.net.get_params())
+    assert ahead.report.total == inline.report.total
+    assert np.array_equal(train_package(stream, cfg, dims),
+                          private_reference_params(stream, cfg, dims))
+
+
+def test_full_width_private_run_draws_ahead_bitwise(monkeypatch):
+    """784-256-256-10 is above the gate: its draws leave the main thread
+    without patching, and the run is bitwise that of an inline draw."""
+    base = make_synthetic(784, 10, 10, 0.6, seed=1)
+    stream = make_permuted_stream(base, 2, seed=1, ref_fraction=0.2)
+    cfg = private_cfg(Mode.DP_CL, hidden_dims=(256, 256), epochs_per_task=1, ref_batch_size=8)
+    dims = [784, 256, 256, 10]
+    on_main = record_draw_threads(monkeypatch)
+    ahead = run_stream(stream, cfg)
+    assert ahead.net.num_params >= trainer._DRAW_AHEAD_MIN_PARAMS
+    assert on_main and not any(on_main)
+    assert np.array_equal(ahead.net.get_params(), private_reference_params(stream, cfg, dims))
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", ahead.net.num_params + 1)
+    inline = run_stream(stream, cfg)
+    assert np.array_equal(ahead.net.get_params(), inline.net.get_params())
+    assert ahead.report.total == inline.report.total
+
+
+def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
+    """Four runs at once, each with its own helper thread, on a short switch
+    interval: a draw read before it is complete would change the parameters."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    stream = small_stream(3)
+    cfg = private_cfg(Mode.DP_AGEM)
+    dims = [stream.tasks[0][0].feature_dim, 8, 3]
+    expected = private_reference_params(stream, cfg, dims)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(train_package, stream, cfg, dims) for _ in range(4)]
+            results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for params in results:
+        assert np.array_equal(params, expected)
+
+
+@pytest.mark.parametrize("draw_ahead", [False, True])
 @pytest.mark.parametrize("mode", list(Mode))
-def test_train_task_never_reads_a_buffer_before_writing_it(mode):
+def test_empty_batch_steps_match_reference_loop_bitwise(mode, draw_ahead, monkeypatch):
+    """Two training examples at p = 0.25 leave most steps without a batch."""
+    stream = small_stream(2)
+    stream = TaskStream([(train.subset([0, 1]), ref, test, perm)
+                         for train, ref, test, perm in stream.tasks])
+    cfg = agem_cfg() if mode is Mode.AGEM else private_cfg(mode)
+    empty_steps = sum(not (_rng(cfg.seed, _ROLE_BATCH, t, step).random(2) < 0.25).any()
+                      for t in (1, 2) for step in range(cfg.steps_per_task))
+    assert empty_steps > 0
+    if draw_ahead:
+        monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    dims = [stream.tasks[0][0].feature_dim, 8, 3]
+    reference = agem_reference_params if mode is Mode.AGEM else private_reference_params
+    assert np.array_equal(train_package(stream, cfg, dims), reference(stream, cfg, dims))
+
+
+def check_no_buffer_read_before_write(mode):
     stream = small_stream(3)
     sigma = 0.0 if mode is Mode.AGEM else 0.7
     cfg = agem_cfg(mode=mode, noise=NoiseConfig(sigma=sigma, clip_bound=0.5, seed=4))
@@ -192,6 +289,46 @@ def test_train_task_never_reads_a_buffer_before_writing_it(mode):
     train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, buffers=buffers)
     assert np.array_equal(poisoned.get_params(), fresh.get_params())
     assert np.all(np.isfinite(buffers))  # every buffer was written by the steps
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_train_task_never_reads_a_buffer_before_writing_it(mode):
+    check_no_buffer_read_before_write(mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_train_task_drawing_ahead_never_reads_a_buffer_before_writing_it(mode, monkeypatch):
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    check_no_buffer_read_before_write(mode)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nan_feature", [False, True])
+def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
+    """The helper thread is joined when train_task returns and when a NaN
+    feature makes it raise; each helper draw is slowed, so a draw left
+    running would land in the buffers after the call."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
+    stream = small_stream(2)
+    train = stream.tasks[1][0]
+    if nan_feature:
+        train = train.subset(np.arange(len(train)))
+        train.x[:, 0] = np.nan
+    cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
+    net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
+    buffers = np.full((3, net.num_params), np.nan)
+    threads = threading.active_count()
+    if nan_feature:
+        with pytest.raises(NumericError):
+            train_task(net, train, [stream.tasks[0][1]], None, cfg, 2, buffers=buffers)
+    else:
+        train_task(net, train, [stream.tasks[0][1]], None, cfg, 2, buffers=buffers)
+    assert threading.active_count() == threads
+    assert on_main and not any(on_main)
+    after = buffers.copy()
+    time.sleep(0.1)
+    assert np.array_equal(buffers, after, equal_nan=True)
 
 
 def test_first_task_never_touches_memory():
