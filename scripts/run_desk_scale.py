@@ -8,6 +8,7 @@ composition policies, and writes per-run artifacts under --out.
 
 import argparse
 import os
+import secrets
 
 from dpcl.accountant import Policy
 from dpcl.data import make_permuted_stream, make_synthetic
@@ -27,9 +28,14 @@ def summarize(name, result, n_tasks, lca_beta):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tasks", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of the stream, the net and the noise; without it a seed "
+                             "is drawn from OS entropy and not recorded")
     parser.add_argument("--out", default="runs/desk_scale")
     args = parser.parse_args()
+    if args.seed is None:  # a published default seed would let anyone regenerate the noise
+        args.seed = secrets.randbits(128)
+        print("seed: unrecorded (drawn from OS entropy)")
 
     base = make_synthetic(64, 5, 60, 0.8, seed=args.seed)
     stream = make_permuted_stream(base, args.tasks, seed=args.seed, ref_fraction=0.2)

@@ -9,6 +9,7 @@ run on CPU; use run_desk_scale.py for a quick end-to-end check.
 
 import argparse
 import os
+import secrets
 
 from dpcl.accountant import Policy
 from dpcl.data import load_idx_archive, make_permuted_stream
@@ -25,9 +26,14 @@ def main():
     parser.add_argument("--tasks", type=int, default=17)
     parser.add_argument("--sigma", type=float, default=1.0)
     parser.add_argument("--clip", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of the stream, the net and the noise; without it a seed "
+                             "is drawn from OS entropy and not recorded")
     parser.add_argument("--out", default="runs/full_scale")
     args = parser.parse_args()
+    if args.seed is None:  # a published default seed would let anyone regenerate the noise
+        args.seed = secrets.randbits(128)
+        print("seed: unrecorded (drawn from OS entropy)")
 
     base = load_idx_archive(os.path.join(args.data_dir, "train-images-idx3-ubyte"),
                             os.path.join(args.data_dir, "train-labels-idx1-ubyte"))

@@ -12,7 +12,8 @@ from .accountant import (
     compose_epsilon,
     step_log_moment,
 )
-from .data import Dataset, TaskStream, load_idx_archive, make_permuted_stream, make_synthetic
+from .data import (Dataset, TaskSplit, TaskStream, load_idx_archive, make_permuted_stream,
+                   make_synthetic)
 from .dp import NoiseConfig, add_noise
 from .metrics import AccuracyMatrix, average_accuracy, forgetting, lca
 from .nn import DenseNet, accuracy, clipped_mean_grad, forward, grad, loss

@@ -1,4 +1,10 @@
-"""Datasets, binary archive ingestion, and permuted-pixel task streams."""
+"""Datasets, binary archive ingestion, and permuted-pixel task streams.
+
+A stream copies no examples: each task split is a TaskSplit, the split's row
+indices into the caller's Dataset and the task's feature permutation, which
+gathers only the rows it is asked for when it is read. The caller must
+therefore not modify the base or test Dataset of a stream afterwards.
+"""
 
 from __future__ import annotations
 
@@ -41,6 +47,61 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.x[idx], self.y[idx], self.num_classes)
+
+    def gather(self, idx, x_out, y_out):
+        """Write the rows idx into x_out and their labels into y_out."""
+        np.take(self.x, idx, axis=0, out=x_out)
+        np.take(self.y, idx, out=y_out)
+
+
+class TaskSplit:
+    """The rows `rows` of src (all of them when None), their features in the
+    order perm. Reading x gathers the whole split and subset the rows asked
+    for, each into a new C-ordered array; gather writes the rows asked for
+    into the caller's arrays. Nothing is cached."""
+
+    def __init__(self, src: Dataset, rows, perm):
+        self.src, self.rows, self.perm = src, rows, perm
+
+    def __len__(self):
+        return len(self.src) if self.rows is None else len(self.rows)
+
+    @property
+    def num_classes(self):
+        return self.src.num_classes
+
+    @property
+    def feature_dim(self):
+        return len(self.perm)
+
+    @property
+    def y(self):
+        return self.src.y if self.rows is None else self.src.y[self.rows]
+
+    @property
+    def x(self):
+        return self._features(self.rows)
+
+    def _features(self, rows, out=None):
+        x = self.src.x if rows is None else self.src.x[rows]
+        # take keeps C order, which x[:, perm] would not; the einsums of
+        # nn._example_sq_norms sum an F-ordered batch in another order. perm
+        # is a permutation, so "clip" never clips; it lets take write
+        # straight into out, where "raise" fills a temporary copy first.
+        return np.take(x, self.perm, axis=1, out=out, mode="clip")
+
+    def _rows(self, idx):
+        return idx if self.rows is None else self.rows[idx]
+
+    def subset(self, idx) -> Dataset:
+        rows = self._rows(idx)
+        return Dataset(self._features(rows), self.src.y[rows], self.num_classes)
+
+    def gather(self, idx, x_out, y_out):
+        """Write the rows idx of the split into x_out and their labels into y_out."""
+        rows = self._rows(idx)
+        self._features(rows, out=x_out)
+        np.take(self.src.y, rows, out=y_out)
 
 
 @dataclass
@@ -142,6 +203,9 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
     |ref| = ref_fraction * (|train| + |ref|). If no held-out test set is
     given, test_fraction of the base is carved off first and permuted
     per task like the rest.
+
+    Every split is a TaskSplit of base or test, so a task costs two index
+    arrays and a permutation; base and test must not be modified afterwards.
     """
     if n_tasks < 1:
         raise ConfigError("n_tasks must be >= 1")
@@ -153,11 +217,10 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
     if test is None:
         split = rng.permutation(len(base))
         n_test = int(round(test_fraction * len(base)))
-        test = base.subset(split[:n_test])
-        pool = base.subset(split[n_test:])
+        test, test_rows, pool = base, split[:n_test], split[n_test:]
     else:
-        pool = base.subset(rng.permutation(len(base)))
-    if len(test) == 0:
+        test_rows, pool = None, rng.permutation(len(base))
+    if len(test if test_rows is None else test_rows) == 0:
         raise ConfigError("the test split is empty")
     if test.feature_dim != d:
         raise ConfigError(f"test examples have {test.feature_dim} features, "
@@ -171,11 +234,8 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
     for t in range(1, n_tasks + 1):
         perm = np.arange(d) if t == 1 else rng.permutation(d)
         order = rng.permutation(len(pool))
-        ref_idx, train_idx = order[:n_ref], order[n_ref:]
-        tasks.append((
-            Dataset(pool.x[train_idx][:, perm], pool.y[train_idx], pool.num_classes),
-            Dataset(pool.x[ref_idx][:, perm], pool.y[ref_idx], pool.num_classes),
-            Dataset(test.x[:, perm], test.y, test.num_classes),
-            perm,
-        ))
+        tasks.append((TaskSplit(base, pool[order[n_ref:]], perm),
+                      TaskSplit(base, pool[order[:n_ref]], perm),
+                      TaskSplit(test, test_rows, perm),
+                      perm))
     return TaskStream(tasks)

@@ -103,7 +103,7 @@ def forward(net: DenseNet, x) -> np.ndarray:
 def _check_batch(net, batch):
     if len(batch) == 0:
         raise InputError("empty batch")
-    if batch.x.shape[1] != net.layer_dims[0]:
+    if batch.feature_dim != net.layer_dims[0]:
         raise InputError("feature dimension mismatch")
 
 
@@ -179,7 +179,8 @@ def clipped_mean_grad(net: DenseNet, batch, beta, sizes=None, *, out=None) -> np
 
 
 def accuracy(net: DenseNet, dataset) -> float:
-    """Fraction of argmax-correct predictions (ties break to the lowest index)."""
+    """Fraction of argmax-correct predictions (ties break to the lowest index).
+    Reads dataset.x once, so a TaskSplit gathers its examples once."""
     _check_batch(net, dataset)
     _, logits = net._forward_batch(dataset.x)
     return float((logits.argmax(axis=1) == dataset.y).mean())

@@ -168,25 +168,29 @@ def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, read=None
               scratch=None, drawn=None):
     """Mean reference gradient over the stored blocks read this step, read
     (from _blocks_read) or chosen here when None. blocks[i] is the reference
-    split of task i + 1. The blocks' batches are one _batch_grad release, with
-    one noise draw addressed by every block id read; for one block that is the
-    block's own batch and draw. Private modes charge each block read at its
-    sampling rate."""
+    split of task i + 1. The blocks' batches, gathered into one joint batch,
+    are one _batch_grad release, with one noise draw addressed by every block
+    id read; for one block that is the block's own batch and draw. Private
+    modes charge each block read at its sampling rate."""
     chosen, address = _blocks_read(len(blocks), task_id, step, cfg) if read is None else read
-    batches = []
+    picks = []
     for i in chosen:
         block, block_id = blocks[i], i + 1
         idx = sample_indices(len(block), cfg.ref_batch_size,
                              _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block_id))
-        batches.append(block.subset(idx))
+        picks.append((block, idx))
         if ledger is not None:
             share = 1.0 if cfg.mode is Mode.DP_AGEM else 1.0 / len(blocks)
             ledger.track_ref_step(task_id, block_id, share * (len(idx) / len(block)))
-    if len(batches) == 1:
-        return _batch_grad(net, batches[0], cfg, address, out=out, scratch=scratch, drawn=drawn)
-    joint = Dataset(np.concatenate([b.x for b in batches]),
-                    np.concatenate([b.y for b in batches]), batches[0].num_classes)
-    return _batch_grad(net, joint, cfg, address, [len(b) for b in batches],
+    sizes = [len(idx) for _, idx in picks]
+    x = np.empty((sum(sizes), blocks[0].feature_dim))
+    y = np.empty(len(x), dtype=np.int64)
+    end = 0
+    for (block, idx), k in zip(picks, sizes):
+        block.gather(idx, x[end:end + k], y[end:end + k])
+        end += k
+    joint = Dataset(x, y, blocks[0].num_classes)
+    return _batch_grad(net, joint, cfg, address, sizes if len(sizes) > 1 else None,
                        out=out, scratch=scratch, drawn=drawn)
 
 
@@ -248,7 +252,8 @@ class RunResult:
 
 def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     """Train through the whole task stream; fill the accuracy matrix after each
-    task and record the first lca_beta+1 per-batch accuracies of every task."""
+    task and record the first lca_beta+1 per-batch accuracies of every task.
+    Each (net, test split) pair is evaluated once."""
     if stream.num_tasks == 0:
         raise ConfigError("empty task stream")
     if any(len(ref) == 0 for _, ref, _, _ in stream.tasks):
@@ -277,8 +282,12 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
         net = train_task(net, train_split, blocks, ledger if track_privacy else None,
                          cfg, t, step_callback=record, buffers=buffers)
         traces.append(trace)
-        for j in range(1, t + 1):
+        for j in range(1, t):
             matrix.set(t, j, nn.accuracy(net, stream.tasks[j - 1][2]))
+        # the trace's last point already holds the final net's accuracy on
+        # this task when every step up to steps_per_task was recorded
+        final = cfg.steps_per_task <= cfg.lca_beta
+        matrix.set(t, t, trace[-1] if final else nn.accuracy(net, test_split))
 
     report = ledger.report(cfg.delta, cfg.policy)
     return RunResult(matrix, report, np.mean(traces, axis=0), ledger, net)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,3 +146,58 @@ def test_synthetic_balanced_labels_in_range():
     counts = np.bincount(ds.y, minlength=4)
     assert counts.tolist() == [25] * 4
     assert ds.x.min() >= 0.0 and ds.x.max() <= 1.0
+
+
+def view_streams():
+    """Two streams of views: a carved-off test split, and a given test set."""
+    base = make_synthetic(12, 3, 10, 0.6, seed=6)
+    given = make_synthetic(12, 3, 4, 0.6, seed=7)
+    return [(base, base, make_permuted_stream(base, 3, seed=6, ref_fraction=0.25)),
+            (base, given, make_permuted_stream(base, 3, seed=6, ref_fraction=0.25, test=given))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["carved_test", "given_test"])
+def test_split_gathers_are_c_ordered_permuted_rows(case):
+    base, given, stream = view_streams()[case]
+    for train, ref, test, perm in stream.tasks:
+        for split in (train, ref, test):
+            src = split.src.x if split.rows is None else split.src.x[split.rows]
+            labels = split.src.y if split.rows is None else split.src.y[split.rows]
+            assert split.x.flags.c_contiguous
+            assert np.array_equal(split.x, src[:, perm])
+            assert np.array_equal(split.y, labels)
+            assert split.feature_dim == len(perm) and len(split) == len(labels)
+            idx = np.array([len(split) - 1, 0, 1, 0])
+            batch = split.subset(idx)
+            assert batch.x.flags.c_contiguous
+            assert np.array_equal(batch.x, src[idx][:, perm])
+            assert np.array_equal(batch.y, labels[idx])
+            x_out, y_out = np.full((len(idx), len(perm)), np.nan), np.zeros(len(idx), int)
+            split.gather(idx, x_out, y_out)
+            assert np.array_equal(x_out, batch.x) and np.array_equal(y_out, batch.y)
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["carved_test", "given_test"])
+def test_splits_share_the_callers_arrays(case):
+    base, given, stream = view_streams()[case]
+    for train, ref, test, _ in stream.tasks:
+        assert np.shares_memory(train.src.x, base.x) and np.shares_memory(ref.src.x, base.x)
+        assert np.shares_memory(test.src.x, given.x)
+
+
+def test_seventeen_task_stream_copies_no_examples():
+    base = make_synthetic(784, 10, 200, 0.8, seed=0)
+    tracemalloc.start()
+    try:
+        stream = make_permuted_stream(base, 17, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.num_tasks == 17
+    assert peak < base.x.nbytes / 4
+
+
+def test_empty_subset_of_a_split():
+    _, _, stream = view_streams()[0]
+    empty = stream.tasks[1][1].subset([])
+    assert len(empty) == 0 and empty.x.shape == (0, 12)

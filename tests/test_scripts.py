@@ -1,0 +1,71 @@
+"""The two protocol scripts: a run left at its defaults draws an unrecorded
+noise seed, and an explicit --seed is used as given."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from _oracles import write_idx_archive
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+class _Stop(Exception):
+    pass
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tiny_archives(tmp_path):
+    """Train and test archive pairs of 4x4 images in three classes; after the
+    reference split, 108 training examples remain for the script's batch of 100."""
+    rng = np.random.default_rng(0)
+    for prefix, n in (("train", 120), ("t10k", 12)):
+        write_idx_archive(tmp_path / f"{prefix}-images-idx3-ubyte",
+                          tmp_path / f"{prefix}-labels-idx1-ubyte",
+                          rng.integers(0, 256, size=(n, 4, 4)), np.arange(n) % 3)
+    return ["--data-dir", str(tmp_path)]
+
+
+def noise_seed(name, args, tmp_path, monkeypatch):
+    """The noise seed the script hands to its private run_stream call, which
+    is stopped there; a noiseless call before it returns nothing."""
+    module = load_script(name)
+    seeds = []
+
+    def recorder(stream, cfg):
+        if cfg.noise.sigma > 0:
+            seeds.append((cfg.noise.seed, cfg.seed))
+            raise _Stop
+
+    monkeypatch.setattr(module, "run_stream", recorder)
+    monkeypatch.setattr(sys, "argv", [name, *args, "--out", str(tmp_path / "out")])
+    with pytest.raises(_Stop):
+        module.main()
+    (noise, run), = seeds
+    assert noise == run
+    return noise
+
+
+@pytest.mark.parametrize("name", ["run_full_scale", "run_desk_scale"])
+def test_script_default_seed_is_drawn_and_unrecorded(name, tmp_path, monkeypatch, capsys):
+    args = tiny_archives(tmp_path) if name == "run_full_scale" else []
+    first = noise_seed(name, args, tmp_path, monkeypatch)
+    second = noise_seed(name, args, tmp_path, monkeypatch)
+    assert first != second
+    assert capsys.readouterr().out.count("seed: unrecorded") == 2
+
+
+@pytest.mark.parametrize("name", ["run_full_scale", "run_desk_scale"])
+def test_script_explicit_seed_is_used(name, tmp_path, monkeypatch, capsys):
+    args = tiny_archives(tmp_path) if name == "run_full_scale" else []
+    assert noise_seed(name, [*args, "--seed", "5"], tmp_path, monkeypatch) == 5
+    assert "unrecorded" not in capsys.readouterr().out

@@ -565,6 +565,47 @@ def test_curve_averages_the_per_task_traces():
     assert np.all((result.curve >= 0.0) & (result.curve <= 1.0))
 
 
+def materialized(stream):
+    """The stream with every split copied into a plain Dataset."""
+    return TaskStream([tuple(Dataset(s.x, s.y, s.num_classes) for s in splits) + (perm,)
+                       for *splits, perm in stream.tasks])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_split_views_train_bitwise_like_materialized_splits(mode):
+    """A batch gathered from a view is bitwise the batch of the copied split,
+    memory order included: nn._example_sq_norms sums an F-ordered batch in
+    another order."""
+    stream = small_stream(3, d=64, per_class=30, seed=2)
+    cfg = agem_cfg(epochs_per_task=2) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=2)
+    a, b = run_stream(stream, cfg), run_stream(materialized(stream), cfg)
+    assert np.array_equal(a.net.get_params(), b.net.get_params())
+    assert np.array_equal(a.matrix.a, b.matrix.a, equal_nan=True)
+    assert np.array_equal(a.curve, b.curve)
+    assert a.report.total == b.report.total
+
+
+@pytest.mark.parametrize("epochs", [1, 3])  # 4 steps per task <= lca_beta 10, then 12 > 10
+def test_each_net_and_test_split_evaluated_once(epochs, monkeypatch):
+    calls = []
+    real = nn.accuracy
+
+    def counted(net, dataset):
+        calls.append(dataset)
+        return real(net, dataset)
+
+    stream = small_stream(3)
+    cfg = agem_cfg(epochs_per_task=epochs, lca_beta=10)
+    unrecorded = run_stream(stream, replace(cfg, lca_beta=0))  # the diagonal evaluated anew
+    monkeypatch.setattr(nn, "accuracy", counted)
+    result = run_stream(stream, cfg)
+    t, points = stream.num_tasks, min(cfg.steps_per_task, cfg.lca_beta) + 1
+    diagonal = 0 if cfg.steps_per_task <= cfg.lca_beta else t
+    assert len(calls) == t * points + t * (t - 1) // 2 + diagonal
+    assert np.array_equal(result.matrix.a, unrecorded.matrix.a, equal_nan=True)
+    assert np.array_equal(result.net.get_params(), unrecorded.net.get_params())
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         TrainConfig(seed=-1)
