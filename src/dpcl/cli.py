@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import secrets
 import sys
 import time
@@ -149,6 +150,7 @@ def cmd_run(spec: RunSpec) -> int:
                 w.writerow(["worst_case_forgetting", repr(f_worst)])
             beta = min(cfg.lca_beta, len(result.curve) - 1)
             w.writerow(["lca", repr(lca(result.curve, beta))])
+            w.writerow(["final_params_sha256", hashlib.sha256(result.net.params).hexdigest()])
         result.report.write_csv(out / "budget_report.csv",
                                 result.ledger.task_budgets(cfg.delta))
         with open(out / "run_manifest.cfg", "w") as f:

@@ -1,24 +1,20 @@
 """Dense feed-forward classifier with exact backprop.
 
-Parameters live in per-layer arrays but every gradient-facing operation works
-on a single flat vector, which is what the clipping / noising / projection
-pipeline consumes. One backward pass gives each layer's inputs A_l and output
-deltas D_l. The batch gradient is sum_l A_l^T D_l / n; the clipped mean scales
-the rows of D_l by factors from per-example norms (the ghost-norm identity,
-Goodfellow 2015, arXiv 1510.01799), so no (batch x num_params) matrix is
-built. Both means write each layer's block straight into one flat vector:
-the caller's out= buffer, or a new array when none is given.
+The parameters are one flat vector, DenseNet.params (W then b, layer by
+layer, the layout of every gradient), which the layers view and the clip /
+noise / projection pipeline consumes; an update adds to it in place. One
+backward pass gives each layer's inputs A_l and output deltas D_l. The batch
+gradient is sum_l A_l^T D_l / n; the clipped mean scales the rows of D_l by
+per-example norm factors (the ghost-norm identity, Goodfellow 2015, arXiv
+1510.01799), so no (batch x num_params) matrix is built. Both write each
+layer's block into one flat vector: out=, or a new array when out is None.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-
-# A ParamVector is a flat float64 array with length == net.num_params.
 
 
 def log_softmax(logits):
@@ -27,57 +23,59 @@ def log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-@dataclass
-class DenseNet:
-    """Rectifier MLP with a softmax output layer.
+def _num_params(layer_dims):
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
 
-    layer_dims = [d, h1, ..., C]. Weights are seeded uniform in
-    [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+
+class DenseNet:
+    """Rectifier MLP with a softmax output layer; layer_dims = [d, h1, ..., C].
+
+    params, a C-contiguous float64 vector in the gradients' layout, is the
+    net's one store of the weights, not a copy. weights[l] and biases[l] are
+    views into it, in tuples so that no layer can be rebound away from it.
     """
 
-    layer_dims: list
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    def __init__(self, layer_dims, params):
+        n = _num_params(layer_dims)
+        if not (isinstance(params, np.ndarray) and params.dtype == np.float64
+                and params.shape == (n,) and params.flags.c_contiguous):
+            raise InputError(f"expected a contiguous float64 vector of {n} parameters")
+        self.layer_dims, self._params = list(layer_dims), params
+        weights, biases, off = [], [], 0
+        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+            w_end = off + fan_in * fan_out
+            weights.append(params[off:w_end].reshape(fan_in, fan_out))
+            biases.append(params[w_end:w_end + fan_out])
+            off = w_end + fan_out
+        self.weights, self.biases = tuple(weights), tuple(biases)
 
     @classmethod
     def create(cls, layer_dims, seed=0):
+        """Weights and biases drawn uniform in +-1/sqrt(fan_in), W then b, layer by layer."""
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(list(layer_dims), weights, biases)
+        net = cls(layer_dims, np.empty(_num_params(layer_dims)))
+        for w, b in zip(net.weights, net.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        return net
+
+    @property
+    def params(self):  # the one store: write into it; it cannot be rebound
+        return self._params
 
     @property
     def num_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    @property
-    def num_classes(self):
-        return self.layer_dims[-1]
+        return self._params.size
 
     def get_params(self):
-        """Flatten all parameters into one vector (W then b, layer by layer)."""
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
-        )
+        return self._params.copy()
 
     def set_params(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
+        if flat.shape != self._params.shape:
             raise InputError(f"expected {self.num_params} parameters, got {flat.shape}")
-        off = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[off:off + w.size].reshape(w.shape)
-            off += w.size
-            b[...] = flat[off:off + b.size]
-            off += b.size
-
-    def clone(self):
-        return DenseNet(list(self.layer_dims),
-                        [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        self._params[...] = flat
 
     def _forward_batch(self, x):
         """Return (activations, logits); activations[l] feeds layer l."""

@@ -11,8 +11,9 @@ config are bitwise identical and the single-block and all-blocks variants
 coincide exactly when only one memory block exists.
 
 A step writes its gradients, noise and update into three gradient-sized
-buffers that run_stream makes once per run; called without out=, nn.grad,
-nn.clipped_mean_grad, dp.add_noise and project_gradient return new arrays.
+buffers that run_stream makes once per run and adds the update to net.params
+in place; called without out=, nn.grad, nn.clipped_mean_grad, dp.add_noise
+and project_gradient return new arrays.
 
 A private step of a net with at least 2**16 parameters draws its training
 and reference noise (dp.draw_noise) on a helper thread, which train_task
@@ -203,7 +204,7 @@ def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_
     written, and none is written after this returns or raises."""
     n = len(train_data)
     p = cfg.sampling_rate
-    params = net.get_params()
+    params = net.params
     g_buf, ref_buf, z_buf = np.empty((3, net.num_params)) if buffers is None else buffers
     draw_ahead = (cfg.mode is not Mode.AGEM and cfg.noise.sigma > 0
                   and net.num_params >= _DRAW_AHEAD_MIN_PARAMS)
@@ -235,7 +236,6 @@ def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_
                 g = project_gradient(g, g_ref, cfg.projection_rule, out=z_buf)
             g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
             params += g
-            net.set_params(params)
     if step_callback is not None:
         step_callback(cfg.steps_per_task, net)
     return net

@@ -77,6 +77,20 @@ def straight_line_forward(weights, biases, x):
             return [e / total for e in exps]
 
 
+def initial_params(layer_dims, seed):
+    """The flat initial parameters of a [d, h1, ..., C] net: for each layer
+    in turn, W (fan_in x fan_out) and then b drawn uniform in
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)] from one generator under
+    SeedSequence(seed, spawn_key=(101,)), all concatenated."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+    parts = []
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        parts.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel())
+        parts.append(rng.uniform(-bound, bound, size=fan_out))
+    return np.concatenate(parts)
+
+
 def finite_difference_grad(loss_fn, params, step=1e-5):
     """Central finite differences of a scalar loss over a flat parameter vector."""
     fd = np.zeros_like(params)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -193,6 +194,19 @@ def test_run_budget_report_matches_lemma2_composition(tmp_path):
     expected = budget_lemma2(budgets, len(budgets), delta=1e-4)
     assert float(rows[0]["total"]) == pytest.approx(expected.total, abs=1e-9)
     assert [float(r["eps_task_at_T"]) for r in rows] == pytest.approx(expected.per_task)
+
+
+@pytest.mark.parametrize("mode", ["agem", "dp_cl"])
+def test_run_writes_the_hash_of_the_trained_params(tmp_path, monkeypatch, mode):
+    calls = []  # the (stream, config) that cmd_run trains on
+    real = dpcl.cli.run_stream
+    monkeypatch.setattr(dpcl.cli, "run_stream", lambda *a: calls.append(a) or real(*a))
+    out = tmp_path / mode
+    assert cmd_run(quick_spec(out, mode=mode, sigma=0.0 if mode == "agem" else 1.0)) == EXIT_OK
+    with open(out / "metrics.csv") as f:
+        rows = dict(csv.reader(f))
+    expected = hashlib.sha256(real(*calls[0]).net.get_params().tobytes()).hexdigest()
+    assert rows["final_params_sha256"] == expected
 
 
 def test_budget_curve_constant_budgets():

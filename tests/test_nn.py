@@ -19,6 +19,7 @@ from dpcl.nn import (
 from _oracles import (
     clip_vector,
     finite_difference_grad,
+    initial_params,
     per_example_grad_matrix,
     straight_line_forward,
 )
@@ -46,7 +47,7 @@ def test_forward_saturated_logit():
     net = zero_net([3, 3])
     w = np.zeros((3, 3))
     w[0, 0] = 100.0
-    net.weights[0] = w
+    net.weights[0][...] = w
     out = forward(net, np.array([1.0, 0.0, 0.0]))
     assert out[0] > 0.99
 
@@ -77,7 +78,7 @@ def test_forward_softmax_normalized(seed):
 
 def test_loss_perfect_prediction_is_zero():
     net = zero_net([2, 3])
-    net.biases[0] = np.array([1e4, 0.0, 0.0])
+    net.biases[0][...] = np.array([1e4, 0.0, 0.0])
     data = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=int), 3)
     assert loss(net, data) < 1e-12
 
@@ -91,7 +92,7 @@ def test_loss_uniform_prediction():
 def test_loss_two_example_hand_value():
     # logits chosen so true-class probabilities are known exactly
     net = zero_net([1, 2])
-    net.weights[0] = np.array([[np.log(3.0), 0.0]])  # probs (0.75, 0.25) at x=1
+    net.weights[0][...] = np.array([[np.log(3.0), 0.0]])  # probs (0.75, 0.25) at x=1
     data = Dataset(np.ones((2, 1)), np.array([0, 1]), 2)
     expected = -(np.log(0.75) + np.log(0.25)) / 2
     assert loss(net, data) == pytest.approx(expected, abs=1e-12)
@@ -105,7 +106,7 @@ def test_loss_empty_batch():
 
 def test_grad_zero_at_saturated_minimum():
     net = zero_net([2, 3])
-    net.biases[0] = np.array([50.0, 0.0, 0.0])
+    net.biases[0][...] = np.array([50.0, 0.0, 0.0])
     data = Dataset(np.zeros((1, 2)), np.zeros(1, dtype=int), 3)
     assert np.linalg.norm(grad(net, data)) < 1e-6
 
@@ -115,9 +116,7 @@ def test_grad_matches_finite_differences():
     data = make_synthetic(5, 3, 4, 0.6, seed=3)
 
     def loss_at(params):
-        probe = net.clone()
-        probe.set_params(params)
-        return loss(probe, data)
+        return loss(DenseNet(net.layer_dims, params), data)
 
     g = grad(net, data)
     fd = finite_difference_grad(loss_at, net.get_params())
@@ -149,6 +148,52 @@ def test_set_params_copies_its_argument():
     net.set_params(flat)
     flat[:] = -1.0
     assert np.array_equal(net.get_params(), np.arange(net.num_params, dtype=np.float64))
+
+
+@pytest.mark.parametrize("dims,seed", [([4, 2, 3], 0), ([6, 5, 4, 3], 7), ([3, 2], 12)])
+def test_create_draws_the_oracle_initial_params(dims, seed):
+    assert np.array_equal(DenseNet.create(dims, seed=seed).params, initial_params(dims, seed))
+
+
+def test_every_layer_is_a_view_of_params():
+    net = DenseNet.create([5, 4, 3, 2], seed=3)
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+    net.params[:] = np.arange(net.num_params)
+    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(net.weights, net.biases)])
+    assert np.array_equal(flat, np.arange(net.num_params))
+
+
+def test_no_layer_or_store_can_be_rebound():
+    net = DenseNet.create([3, 4, 2], seed=1)
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((3, 4))
+    with pytest.raises(TypeError):
+        net.biases[1] = np.zeros(2)
+    with pytest.raises(AttributeError):
+        net.params = np.zeros(net.num_params)
+
+
+def test_constructor_keeps_params_as_the_store():
+    params = np.zeros(3 * 2 + 2)
+    assert DenseNet([3, 2], params).params is params
+
+
+@pytest.mark.parametrize("params", [np.zeros(7), np.zeros(8, dtype=np.float32),
+                                    np.zeros(16)[::2], [0.0] * 8])
+def test_constructor_rejects_a_vector_it_cannot_view(params):
+    with pytest.raises(InputError):
+        DenseNet([3, 2], params)
+
+
+def test_writing_params_changes_accuracy():
+    net = DenseNet.create([2, 4, 3], seed=0)
+    data = Dataset(np.ones((4, 2)), np.array([1, 1, 1, 1]), 3)
+    net.params[:] = 0.0
+    net.params[-3:] = [0.0, 1.0, 0.0]  # the output biases favour class 1
+    assert accuracy(net, data) == 1.0
+    net.params[-3:] = [1.0, 0.0, 0.0]
+    assert accuracy(net, data) == 0.0
 
 
 def test_successive_gradients_do_not_share_memory():

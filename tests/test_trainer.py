@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -289,6 +290,43 @@ def check_no_buffer_read_before_write(mode):
     train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, buffers=buffers)
     assert np.array_equal(poisoned.get_params(), fresh.get_params())
     assert np.all(np.isfinite(buffers))  # every buffer was written by the steps
+
+
+def test_train_task_updates_params_in_place():
+    stream = small_stream(2)
+    cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
+    net = nn.DenseNet.create([stream.tasks[0][0].feature_dim, 8, 3], seed=1)
+    store, before = net.params, net.get_params()
+    assert train_task(net, stream.tasks[1][0], [stream.tasks[0][1]], None, cfg, 2) is net
+    assert net.params is store and not np.array_equal(store, before)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_run_stream_neither_copies_params_out_nor_in(mode, monkeypatch):
+    for name in ("get_params", "set_params"):
+        monkeypatch.setattr(nn.DenseNet, name, lambda *a, _n=name: pytest.fail(_n))
+    sigma = 0.0 if mode is Mode.AGEM else 0.7
+    run_stream(small_stream(3), agem_cfg(mode=mode, epochs_per_task=1,
+                                         noise=NoiseConfig(sigma=sigma, clip_bound=0.5)))
+
+
+def test_full_width_run_holds_under_five_parameter_vectors():
+    """A two-task 784-256-256-10 dp_cl run at batch about 100 holds the
+    params and the three step buffers, plus activations; the traced peak
+    was 6.0 parameter vectors while training kept a second copy of params."""
+    base = make_synthetic(784, 10, 21, 0.8, seed=1)
+    stream = make_permuted_stream(base, 2, seed=1, ref_fraction=1 / 3)
+    cfg = TrainConfig(mode=Mode.DP_CL, sampling_rate=100 / len(stream.tasks[0][0]),
+                      ref_batch_size=50, hidden_dims=(256, 256),
+                      noise=NoiseConfig(sigma=1.0, clip_bound=0.1, seed=1), seed=1)
+    vector_bytes = nn.DenseNet.create([784, 256, 256, 10]).params.nbytes
+    tracemalloc.start()
+    try:
+        run_stream(stream, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * vector_bytes, peak / vector_bytes
 
 
 @pytest.mark.parametrize("mode", list(Mode))
