@@ -9,8 +9,10 @@ composition policies, and writes per-run artifacts under --out.
 import argparse
 import os
 import secrets
+import sys
 
 from dpcl.accountant import Policy
+from dpcl.cli import EXIT_CONFIG, EXIT_OK, SETUP_ERRORS
 from dpcl.data import make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.metrics import average_accuracy, forgetting, lca
@@ -33,21 +35,29 @@ def main():
                              "is drawn from OS entropy and not recorded")
     parser.add_argument("--out", default="runs/desk_scale")
     args = parser.parse_args()
+    if args.tasks < 2:  # forgetting compares each task's accuracy with a later one
+        parser.error("--tasks must be at least 2")
     if args.seed is None:  # a published default seed would let anyone regenerate the noise
         args.seed = secrets.randbits(128)
         print("seed: unrecorded (drawn from OS entropy)")
 
-    base = make_synthetic(64, 5, 60, 0.8, seed=args.seed)
-    stream = make_permuted_stream(base, args.tasks, seed=args.seed, ref_fraction=0.2)
-    common = dict(hidden_dims=(64, 64), sampling_rate=0.2, ref_batch_size=32,
-                  seed=args.seed)
+    try:
+        base = make_synthetic(64, 5, 60, 0.8, seed=args.seed)
+        stream = make_permuted_stream(base, args.tasks, seed=args.seed, ref_fraction=0.2)
+        common = dict(hidden_dims=(64, 64), sampling_rate=0.2, ref_batch_size=32,
+                      seed=args.seed)
+        noiseless_cfg = TrainConfig(
+            mode=Mode.AGEM, noise=NoiseConfig(sigma=0.0),
+            learning_rate=0.1, epochs_per_task=30, **common)
+        private_cfg = TrainConfig(
+            mode=Mode.DP_CL, noise=NoiseConfig(sigma=1.0, clip_bound=0.1, seed=args.seed),
+            learning_rate=0.02, epochs_per_task=120, **common)
+    except SETUP_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    noiseless = run_stream(stream, TrainConfig(
-        mode=Mode.AGEM, noise=NoiseConfig(sigma=0.0),
-        learning_rate=0.1, epochs_per_task=30, **common))
-    private = run_stream(stream, TrainConfig(
-        mode=Mode.DP_CL, noise=NoiseConfig(sigma=1.0, clip_bound=0.1, seed=args.seed),
-        learning_rate=0.02, epochs_per_task=120, **common))
+    noiseless = run_stream(stream, noiseless_cfg)
+    private = run_stream(stream, private_cfg)
 
     summarize("noiseless ", noiseless, args.tasks, 10)
     summarize("private   ", private, args.tasks, 10)
@@ -61,7 +71,8 @@ def main():
         report.write_csv(path, private.ledger.task_budgets(1e-4))
         print(f"private total epsilon ({policy.value}, delta=1e-4): {report.total:.3f}")
     print(f"artifacts written to {args.out}/")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,8 +10,10 @@ run on CPU; use run_desk_scale.py for a quick end-to-end check.
 import argparse
 import os
 import secrets
+import sys
 
 from dpcl.accountant import Policy
+from dpcl.cli import EXIT_CONFIG, EXIT_OK, SETUP_ERRORS
 from dpcl.data import load_idx_archive, make_permuted_stream
 from dpcl.dp import NoiseConfig
 from dpcl.metrics import average_accuracy, forgetting, lca
@@ -31,24 +33,30 @@ def main():
                              "is drawn from OS entropy and not recorded")
     parser.add_argument("--out", default="runs/full_scale")
     args = parser.parse_args()
+    if args.tasks < 2:  # forgetting compares each task's accuracy with a later one
+        parser.error("--tasks must be at least 2")
     if args.seed is None:  # a published default seed would let anyone regenerate the noise
         args.seed = secrets.randbits(128)
         print("seed: unrecorded (drawn from OS entropy)")
 
-    base = load_idx_archive(os.path.join(args.data_dir, "train-images-idx3-ubyte"),
-                            os.path.join(args.data_dir, "train-labels-idx1-ubyte"))
-    test = load_idx_archive(os.path.join(args.data_dir, "t10k-images-idx3-ubyte"),
-                            os.path.join(args.data_dir, "t10k-labels-idx1-ubyte"))
-    stream = make_permuted_stream(base, args.tasks, seed=args.seed,
-                                  ref_fraction=0.1, test=test)
-    n_train = len(stream.tasks[0][0])
+    try:
+        base = load_idx_archive(os.path.join(args.data_dir, "train-images-idx3-ubyte"),
+                                os.path.join(args.data_dir, "train-labels-idx1-ubyte"))
+        test = load_idx_archive(os.path.join(args.data_dir, "t10k-images-idx3-ubyte"),
+                                os.path.join(args.data_dir, "t10k-labels-idx1-ubyte"))
+        stream = make_permuted_stream(base, args.tasks, seed=args.seed,
+                                      ref_fraction=0.1, test=test)
+        n_train = len(stream.tasks[0][0])
 
-    mode = Mode(args.mode)
-    sigma = 0.0 if mode is Mode.AGEM else args.sigma
-    cfg = TrainConfig(
-        mode=mode, noise=NoiseConfig(sigma=sigma, clip_bound=args.clip, seed=args.seed),
-        hidden_dims=(256, 256), learning_rate=0.1, sampling_rate=100 / n_train,
-        ref_batch_size=50, epochs_per_task=1, delta=1e-4, seed=args.seed)
+        mode = Mode(args.mode)
+        sigma = 0.0 if mode is Mode.AGEM else args.sigma
+        cfg = TrainConfig(
+            mode=mode, noise=NoiseConfig(sigma=sigma, clip_bound=args.clip, seed=args.seed),
+            hidden_dims=(256, 256), learning_rate=0.1, sampling_rate=100 / n_train,
+            ref_batch_size=50, epochs_per_task=1, delta=1e-4, seed=args.seed)
+    except SETUP_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     result = run_stream(stream, cfg)
 
     acc = average_accuracy(result.matrix, args.tasks)
@@ -65,7 +73,8 @@ def main():
                              result.ledger.task_budgets(1e-4))
             print(f"total epsilon ({policy.value}, delta=1e-4): {report.total:.3f}")
     print(f"artifacts written to {args.out}/")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -148,8 +148,6 @@ class TaskBudget:
 class BudgetReport:
     per_task: list
     total: float
-    delta: float
-    policy: Policy
 
     def write_csv(self, path, budgets):
         with open(path, "w", newline="") as f:
@@ -165,14 +163,14 @@ def _check_budgets(budgets, t):
         raise InputError(f"need budgets for tasks 1..{t} in order")
 
 
-def budget_lemma1(budgets, t, delta=1e-4) -> BudgetReport:
+def budget_lemma1(budgets, t) -> BudgetReport:
     """Naive composition: eps_i(T) = eps_i + (T - i) * eps'_i."""
     _check_budgets(budgets, t)
     per_task = [b.eps_train + (t - b.task_id) * b.eps_ref for b in budgets[:t]]
-    return BudgetReport(per_task, float(sum(per_task)), delta, Policy.LEMMA1)
+    return BudgetReport(per_task, float(sum(per_task)))
 
 
-def budget_lemma2(budgets, t, delta=1e-4) -> BudgetReport:
+def budget_lemma2(budgets, t) -> BudgetReport:
     """Single-block composition: eps_i(T) = eps_i + eps'_i.
 
     Task 1 is charged no reference budget: the memory is empty when task 1
@@ -183,7 +181,7 @@ def budget_lemma2(budgets, t, delta=1e-4) -> BudgetReport:
     for b in budgets[:t]:
         ref = b.eps_ref if b.task_id > 1 else 0.0
         per_task.append(b.eps_train + ref)
-    return BudgetReport(per_task, float(sum(per_task)), delta, Policy.LEMMA2)
+    return BudgetReport(per_task, float(sum(per_task)))
 
 
 @dataclass
@@ -236,13 +234,9 @@ class PrivacyLedger:
             for task_id in sorted(self.train_states)
         ]
 
-    def block_epsilons(self, delta) -> dict:
-        return {bid: compose_epsilon(s, delta)
-                for bid, s in sorted(self.ref_states_by_block.items())}
-
     def report(self, delta, policy: Policy) -> BudgetReport:
         budgets = self.task_budgets(delta)
         t = len(budgets)
         if policy is Policy.LEMMA1:
-            return budget_lemma1(budgets, t, delta)
-        return budget_lemma2(budgets, t, delta)
+            return budget_lemma1(budgets, t)
+        return budget_lemma2(budgets, t)

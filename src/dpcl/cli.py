@@ -12,28 +12,32 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .accountant import DEFAULT_LAMBDA_MAX, Policy, TaskBudget, budget_lemma1, budget_lemma2
 from .data import load_idx_archive, make_permuted_stream, make_synthetic
 from .dp import NoiseConfig
-from .errors import ConfigError, InputError, NumericError, ParseError
+from .errors import ConfigError, NumericError
 from .metrics import average_accuracy, forgetting, lca
 from .trainer import Mode, ProjectionRule, TrainConfig, run_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+# what building a stream and config raises on bad input: ConfigError, InputError
+# and ParseError are ValueErrors; OSError is a missing or unreadable file
+SETUP_ERRORS = (ValueError, OSError)
 
 
 @dataclass
 class RunSpec:
-    """Everything needed to reproduce one `run` invocation; the only home of
-    the `run` defaults (the parser supplies just the options given). A run
-    without a seed draws one from OS entropy and does not record it: whoever
-    holds the seed can regenerate every noise draw, and no epsilon holds
-    against them."""
+    """Everything needed to reproduce one `run` invocation, and the only home
+    of the `run` options: build_parser makes a flag of each field and passes
+    on just the flags given, so the defaults are these. A run without a seed
+    draws one from OS entropy and does not record it: whoever holds the seed
+    can regenerate every noise draw, and no epsilon holds against them."""
 
     mode: str = Mode.DP_CL.value
     tasks: int = 5
@@ -123,7 +127,7 @@ def cmd_run(spec: RunSpec) -> int:
         noise = NoiseConfig(sigma=run.sigma, clip_bound=run.clip, seed=run.seed)
         stream = _build_stream(run)
         cfg = _build_config(run, len(stream.tasks[0][0]), noise)
-    except (ConfigError, ParseError, InputError, ValueError, OSError) as exc:
+    except SETUP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -205,32 +209,13 @@ def build_parser():
 
     run = sub.add_parser("run", help="train through a task stream and emit CSVs",
                          argument_default=argparse.SUPPRESS)
-    run.add_argument("--mode", choices=[m.value for m in Mode])
-    run.add_argument("--tasks", type=int)
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--batch", type=int)
-    run.add_argument("--ref-batch", type=int, dest="ref_batch")
-    run.add_argument("--sampling-rate", type=float, dest="sampling_rate")
-    run.add_argument("--sigma", type=float)
-    run.add_argument("--clip", type=float)
-    run.add_argument("--delta", type=float)
-    run.add_argument("--lambda-max", type=int, dest="lambda_max")
-    run.add_argument("--policy", choices=[p.value for p in Policy])
-    run.add_argument("--projection", choices=[r.value for r in ProjectionRule])
-    run.add_argument("--seed", type=int)
-    run.add_argument("--out")
-    run.add_argument("--images")
-    run.add_argument("--labels")
-    run.add_argument("--test-images", dest="test_images")
-    run.add_argument("--test-labels", dest="test_labels")
-    run.add_argument("--synth-dim", type=int, dest="synth_dim")
-    run.add_argument("--synth-classes", type=int, dest="synth_classes")
-    run.add_argument("--synth-per-class", type=int, dest="synth_per_class")
-    run.add_argument("--synth-margin", type=float, dest="synth_margin")
-    run.add_argument("--ref-fraction", type=float, dest="ref_fraction")
-    run.add_argument("--hidden")
-    run.add_argument("--lca-beta", type=int, dest="lca_beta")
-    run.add_argument("--learning-rate", type=float, dest="learning_rate")
+    # one flag per RunSpec field; an `X | None` field parses as X, a str one needs no type
+    enums = {"mode": Mode, "policy": Policy, "projection": ProjectionRule}
+    for name, hint in get_type_hints(RunSpec).items():
+        kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+        run.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                         type=None if kind is str else kind,
+                         choices=[e.value for e in enums.get(name, ())] or None)
 
     curve = sub.add_parser("budget-curve", help="compare the two composition policies")
     curve.add_argument("--eps-mean", type=float, default=1.0, dest="eps_mean")

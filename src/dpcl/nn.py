@@ -89,28 +89,11 @@ class DenseNet:
         return acts, logits
 
 
-def forward(net: DenseNet, x) -> np.ndarray:
-    """Class probabilities for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.layer_dims[0],):
-        raise InputError(f"expected input of length {net.layer_dims[0]}, got {x.shape}")
-    _, logits = net._forward_batch(x[None, :])
-    return np.exp(log_softmax(logits))[0]
-
-
 def _check_batch(net, batch):
     if len(batch) == 0:
         raise InputError("empty batch")
     if batch.feature_dim != net.layer_dims[0]:
         raise InputError("feature dimension mismatch")
-
-
-def loss(net: DenseNet, batch) -> float:
-    """Mean softmax cross entropy over the batch."""
-    _check_batch(net, batch)
-    _, logits = net._forward_batch(batch.x)
-    logp = log_softmax(logits)
-    return float(-logp[np.arange(len(batch)), batch.y].mean())
 
 
 def _backward(net, batch):
@@ -150,8 +133,8 @@ def _example_sq_norms(acts, deltas):
 
 
 def grad(net: DenseNet, batch, *, out=None) -> np.ndarray:
-    """Exact gradient of loss() w.r.t. the flattened parameters, written
-    into out (a new array when out is None)."""
+    """Exact gradient of the batch's mean softmax cross entropy w.r.t. the
+    flattened parameters, written into out (a new array when out is None)."""
     return _mean_over_examples(*_backward(net, batch), out)
 
 

@@ -5,9 +5,11 @@ own code paths: quadrature instead of the closed form, explicit loops
 instead of vectorized backprop, an explicit (n x num_params) per-example
 gradient matrix clipped row by row instead of the ghost-norm clipped mean,
 direct formula evaluation for the budgets, one closed-form moment order at
-a time instead of the accountant's single array pass. The one exception is
+a time instead of the accountant's single array pass. The exceptions are
 membership_expectation_check, which drives the real sampler so that the
-gate covers the draws the trainer makes. write_idx_archive is the inverse of
+gate covers the draws the trainer makes, and forward and loss, which read
+the net's own batch forward pass so that finite differences of loss test
+the backprop of exactly that function. write_idx_archive is the inverse of
 the archive loader, used to build fixtures.
 """
 
@@ -18,7 +20,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 from dpcl.data import IMAGE_MAGIC, LABEL_MAGIC
-from dpcl.errors import StateError
+from dpcl.errors import InputError, StateError
+from dpcl.nn import _check_batch, log_softmax
 from dpcl.trainer import sample_block, sample_indices
 
 
@@ -75,6 +78,24 @@ def straight_line_forward(weights, biases, x):
             exps = [np.exp(v - m) for v in z]
             total = sum(exps)
             return [e / total for e in exps]
+
+
+def forward(net, x):
+    """Class probabilities of a DenseNet for a single feature vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (net.layer_dims[0],):
+        raise InputError(f"expected input of length {net.layer_dims[0]}, got {x.shape}")
+    _, logits = net._forward_batch(x[None, :])
+    return np.exp(log_softmax(logits))[0]
+
+
+def loss(net, batch):
+    """Mean softmax cross entropy of a DenseNet over the batch: the function
+    whose exact gradient nn.grad computes."""
+    _check_batch(net, batch)
+    _, logits = net._forward_batch(batch.x)
+    logp = log_softmax(logits)
+    return float(-logp[np.arange(len(batch)), batch.y].mean())
 
 
 def initial_params(layer_dims, seed):

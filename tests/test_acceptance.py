@@ -21,11 +21,12 @@ from dpcl.cli import budget_curve_table
 from dpcl.data import Dataset, make_synthetic, make_permuted_stream
 from dpcl.dp import NoiseConfig, add_noise
 from dpcl.metrics import average_accuracy, forgetting
-from dpcl.nn import DenseNet, clipped_mean_grad, grad, loss
+from dpcl.nn import DenseNet, clipped_mean_grad, grad
 from dpcl.trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream
 
 from _oracles import (
     finite_difference_grad,
+    loss,
     membership_expectation_check,
     per_example_grad_matrix,
     quad_log_moment,

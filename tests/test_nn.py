@@ -11,15 +11,15 @@ from dpcl.nn import (
     _example_sq_norms,
     accuracy,
     clipped_mean_grad,
-    forward,
     grad,
-    loss,
 )
 
 from _oracles import (
     clip_vector,
     finite_difference_grad,
+    forward,
     initial_params,
+    loss,
     per_example_grad_matrix,
     straight_line_forward,
 )

@@ -1,5 +1,6 @@
 """The two protocol scripts: a run left at its defaults draws an unrecorded
-noise seed, and an explicit --seed is used as given."""
+noise seed, an explicit --seed is used as given, and bad inputs exit 2 with
+one error line before anything trains."""
 
 import importlib.util
 import sys
@@ -69,3 +70,50 @@ def test_script_explicit_seed_is_used(name, tmp_path, monkeypatch, capsys):
     args = tiny_archives(tmp_path) if name == "run_full_scale" else []
     assert noise_seed(name, [*args, "--seed", "5"], tmp_path, monkeypatch) == 5
     assert "unrecorded" not in capsys.readouterr().out
+
+
+def failed_run(name, args, monkeypatch, capsys):
+    """Exit code and error lines of a script run that must stop before training."""
+    module = load_script(name)
+    monkeypatch.setattr(module, "run_stream", lambda *a: pytest.fail("trained"))
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    try:
+        code = module.main()
+    except SystemExit as exc:  # argparse's own exit
+        code = exc.code
+    return code, [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize("tasks", ["1", "0"])
+@pytest.mark.parametrize("name", ["run_full_scale", "run_desk_scale"])
+def test_script_needs_two_tasks(name, tasks, tmp_path, monkeypatch, capsys):
+    args = tiny_archives(tmp_path) if name == "run_full_scale" else []
+    code, errors = failed_run(name, [*args, "--tasks", tasks, "--seed", "0",
+                                     "--out", str(tmp_path / "out")], monkeypatch, capsys)
+    assert code == 2
+    assert len(errors) == 1 and "--tasks must be at least 2" in errors[0]
+
+
+def _corrupt(path):
+    path.write_bytes(path.read_bytes()[:5])  # a truncated header
+
+
+@pytest.mark.parametrize("damage, archive", [
+    (Path.unlink, "train-images-idx3-ubyte"),
+    (_corrupt, "t10k-labels-idx1-ubyte"),
+], ids=["missing", "corrupt"])
+def test_full_scale_bad_archive_exits_config(damage, archive, tmp_path, monkeypatch, capsys):
+    args = tiny_archives(tmp_path)
+    damage(tmp_path / archive)
+    code, errors = failed_run("run_full_scale", [*args, "--seed", "0",
+                                                 "--out", str(tmp_path / "out")],
+                              monkeypatch, capsys)
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error: ") and archive in errors[0]
+
+
+def test_desk_scale_bad_seed_exits_config(tmp_path, monkeypatch, capsys):
+    code, errors = failed_run("run_desk_scale", ["--seed", "-1", "--out", str(tmp_path / "out")],
+                              monkeypatch, capsys)
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error: ")
