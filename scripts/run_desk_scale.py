@@ -12,7 +12,7 @@ import secrets
 import sys
 
 from dpcl.accountant import Policy
-from dpcl.cli import EXIT_CONFIG, EXIT_OK, SETUP_ERRORS
+from dpcl.cli import EXIT_CONFIG, EXIT_OK, SETUP_ERRORS, check_out_dir
 from dpcl.data import make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.metrics import average_accuracy, forgetting, lca
@@ -42,6 +42,7 @@ def main():
         print("seed: unrecorded (drawn from OS entropy)")
 
     try:
+        check_out_dir(args.out)  # fail now, not after training
         base = make_synthetic(64, 5, 60, 0.8, seed=args.seed)
         stream = make_permuted_stream(base, args.tasks, seed=args.seed, ref_fraction=0.2)
         common = dict(hidden_dims=(64, 64), sampling_rate=0.2, ref_batch_size=32,

@@ -13,7 +13,7 @@ import secrets
 import sys
 
 from dpcl.accountant import Policy
-from dpcl.cli import EXIT_CONFIG, EXIT_OK, SETUP_ERRORS
+from dpcl.cli import EXIT_CONFIG, EXIT_OK, SETUP_ERRORS, check_out_dir
 from dpcl.data import load_idx_archive, make_permuted_stream
 from dpcl.dp import NoiseConfig
 from dpcl.metrics import average_accuracy, forgetting, lca
@@ -40,6 +40,7 @@ def main():
         print("seed: unrecorded (drawn from OS entropy)")
 
     try:
+        check_out_dir(args.out)  # fail now, not after training
         base = load_idx_archive(os.path.join(args.data_dir, "train-images-idx3-ubyte"),
                                 os.path.join(args.data_dir, "train-labels-idx1-ubyte"))
         test = load_idx_archive(os.path.join(args.data_dir, "t10k-images-idx3-ubyte"),

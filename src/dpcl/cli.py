@@ -115,14 +115,20 @@ def _build_config(spec: RunSpec, train_size: int, noise: NoiseConfig) -> TrainCo
     )
 
 
+def check_out_dir(out) -> Path:
+    """out as a Path; raises ConfigError when it cannot become a directory
+    (it or an ancestor is a file), so that a run can fail before training."""
+    out = Path(out)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest} is not a directory")
+    return out
+
+
 def cmd_run(spec: RunSpec) -> int:
-    out = Path(spec.out)
     run = spec if spec.seed is not None else replace(spec, seed=secrets.randbits(128))
     try:
-        # fail before training when --out cannot become a directory
-        nearest = next(p for p in (out, *out.parents) if p.exists())
-        if not nearest.is_dir():
-            raise ConfigError(f"--out {out}: {nearest} is not a directory")
+        out = check_out_dir(spec.out)
         # the noise config checks the seed before the stream generator sees it
         noise = NoiseConfig(sigma=run.sigma, clip_bound=run.clip, seed=run.seed)
         stream = _build_stream(run)

@@ -161,7 +161,9 @@ def load_idx_archive(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if n else 0
-    return Dataset(pixels.astype(np.float64) / 255.0, labels, num_classes)
+    x = pixels.astype(np.float64)
+    x /= 255.0  # in place: one float64 copy, not two
+    return Dataset(x, labels, num_classes)
 
 
 def make_synthetic(d, num_classes, n_per_class, margin, seed) -> Dataset:

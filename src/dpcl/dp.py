@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,26 +36,24 @@ def noise_rng(seed, address=()) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(201,) + tuple(address)))
 
 
-def draw_noise(cfg: NoiseConfig, address, out) -> np.ndarray:
-    """Fill out with the standard normals of the addressed noise stream: the
-    first half of add_noise, which a caller may run ahead on another thread."""
-    return noise_rng(cfg.seed, address).standard_normal(out=out)
+def draw_noise(cfg: NoiseConfig, address, out, n_blocks=1) -> np.ndarray:
+    """Fill out with the addressed noise stream's i.i.d. N(0, sigma^2 *
+    beta^2 / n_blocks) draws and return it: the noise of a release that
+    averages n_blocks blocks' clipped means, the law of the mean of
+    n_blocks draws at sigma * beta."""
+    z = noise_rng(cfg.seed, address).standard_normal(out=out)
+    z *= cfg.sigma / math.sqrt(n_blocks) * cfg.clip_bound
+    return z
 
 
-def add_noise(g, cfg: NoiseConfig, address=(), *, out=None, drawn=None) -> np.ndarray:
+def add_noise(g, cfg: NoiseConfig, address=()) -> np.ndarray:
     """g + i.i.d. N(0, sigma^2 * beta^2) per coordinate, reproducible per
-    address; drawn and summed in out (new when None), which must not overlap g.
-    drawn, when given, waits for draw_noise(cfg, address, out) made elsewhere
-    and returns out; the sum is then bitwise that of an inline draw."""
+    address, in a new array."""
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise NumericError("gradient contains NaN/Inf")
     if cfg.sigma == 0.0:
-        return np.positive(g, out=out)  # a copy of g
-    if drawn is not None:
-        z = drawn()
-    else:
-        z = draw_noise(cfg, address, np.empty(g.shape) if out is None else out)
-    z *= cfg.sigma * cfg.clip_bound
+        return g.copy()
+    z = draw_noise(cfg, address, np.empty(g.shape))
     z += g
     return z

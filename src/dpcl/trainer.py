@@ -12,26 +12,27 @@ coincide exactly when only one memory block exists.
 
 A step writes its gradients, noise and update into three gradient-sized
 buffers that run_stream makes once per run and adds the update to net.params
-in place; called without out=, nn.grad, nn.clipped_mean_grad, dp.add_noise
-and project_gradient return new arrays.
+in place; called without out=, nn.grad, nn.clipped_mean_grad and
+project_gradient return new arrays.
 
-A private step of a net with at least 2**16 parameters draws its training
-and reference noise (dp.draw_noise) on a helper thread, which train_task
-starts for the task and joins before it returns or raises, while this thread
-evaluates and computes the clipped means; add_noise waits for each draw where
-it finishes that release. numpy draws without holding the interpreter lock,
-so the draws use a second core. Smaller nets draw inline, because there the
-handoff costs more than the overlap saves. The draws and float operations are
-the same either way, so the results are bitwise equal.
+A run's private releases are planned before it trains (_releases), and one
+_NoiseSource per run draws their noise in that order into the step buffers.
+For a net with at least 2**16 parameters it draws on a helper thread, which
+run_stream starts after making the net and joins before it returns or
+raises: the next step's draws run while this thread projects, updates,
+evaluates and computes the clipped means, and numpy draws without holding
+the interpreter lock, so on a second core. Smaller nets draw inline, because
+there the handoff costs more than the overlap saves. The draws and float
+operations are the same either way, so the results are bitwise equal.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+import queue
+import threading
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from . import nn
 from .accountant import DEFAULT_LAMBDA_MAX, Policy, PrivacyLedger
 from .data import Dataset, TaskStream
-from .dp import NoiseConfig, add_noise, draw_noise
+from .dp import NoiseConfig, draw_noise
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
 
@@ -138,20 +139,95 @@ def sample_indices(n, k, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=min(k, n), replace=False)
 
 
-def _batch_grad(net, batch, cfg: TrainConfig, noise_address, sizes=None, *, out=None,
-                scratch=None, drawn=None):
-    """The gradient one step releases for a batch: the plain mean for agem;
-    otherwise the mean of the per-example clipped gradients plus noise. With
-    sizes (B private groups), the mean of the groups' clipped means plus one
-    draw at std sigma*beta/sqrt(B): the law of the mean of B draws at sigma*beta.
-    Written into out, with the clipped mean in scratch (new arrays when None);
-    drawn waits for the draw made ahead into out (see add_noise)."""
-    if cfg.mode is Mode.AGEM:
-        return nn.grad(net, batch, out=out)
-    g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=scratch)
-    noise = cfg.noise if sizes is None else replace(
-        cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
-    return add_noise(g, noise, noise_address, out=out, drawn=drawn)
+def _releases(cfg: TrainConfig, tasks):
+    """The private releases of tasks, (task_id, number of stored blocks)
+    pairs, in step order: each step's training release, then the reference
+    release of the blocks _blocks_read picks, as (noise address, number of
+    blocks whose clipped means it averages)."""
+    for task_id, n_blocks in tasks:
+        for step in range(cfg.steps_per_task):
+            yield (_ROLE_TRAIN_NOISE, task_id, step), 1
+            if n_blocks:
+                chosen, address = _blocks_read(n_blocks, task_id, step, cfg)
+                yield address, len(chosen)
+
+
+class _NoiseSource:
+    """Draws the noise of the releases in plan (dp.draw_noise), in order,
+    into the buffers after the first, which the step holds (held). take
+    hands out the next release's noise and give takes a buffer back. In a
+    with block, a net of _DRAW_AHEAD_MIN_PARAMS parameters or more draws
+    ahead on a helper thread, joined when the block ends; otherwise take
+    draws. An agem source only lends its buffers."""
+
+    def __init__(self, cfg: TrainConfig, plan, buffers):
+        self.held, *free = buffers
+        self._free, self._drawn, self._helper = queue.SimpleQueue(), queue.SimpleQueue(), None
+        for z in free:
+            self._free.put(z)
+        # the draws see the queue, not self: a reference cycle would keep a
+        # finished source and its buffers alive until the cyclic collector ran
+        self._draws = None if cfg.mode is Mode.AGEM else self._drawing(self._free, cfg.noise, plan)
+
+    def __enter__(self):
+        if self._draws is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
+            self._helper = threading.Thread(target=self._draw_ahead, daemon=True)
+            self._helper.start()
+        return self
+
+    def __exit__(self, *exc):
+        if self._helper is not None:
+            self._free.put(None)  # stops the helper at the next buffer it waits for
+            self._helper.join()
+
+    @staticmethod
+    def _drawing(free, noise, plan):
+        for address, n_blocks in plan:
+            z = free.get()
+            if z is None:
+                return
+            yield address, draw_noise(noise, address, z, n_blocks)
+
+    def _draw_ahead(self):
+        try:
+            for drawn in self._draws:
+                self._drawn.put(drawn)
+        finally:
+            self._drawn.put(None)  # so that take raises rather than waits
+
+    def take(self, address):
+        """The noise of the release at address, which must be the next one planned."""
+        if self._draws is None:
+            return self._free.get()
+        drawn = self._drawn.get() if self._helper is not None else next(self._draws, None)
+        if drawn is None or drawn[0] != address:
+            raise RuntimeError(f"release {address} is not the next one planned")
+        return drawn[1]
+
+    def give(self, z):
+        self._free.put(z)
+
+
+def _batch_grad(net, batch, cfg: TrainConfig, address, sizes=None, *, out=None, noise=None):
+    """The gradient one step releases for a batch (None: no example, a zero
+    gradient): the plain mean for agem; otherwise the mean of the per-example
+    clipped gradients, or with sizes (B private groups) of the groups'
+    clipped means, plus noise.take(address) (from a one-release source when
+    None). Written into out (a new array when None); returns it and the
+    buffer taken from noise, which the caller gives back."""
+    if batch is None:
+        g = out
+        g.fill(0.0)
+    elif cfg.mode is Mode.AGEM:
+        g = nn.grad(net, batch, out=out)
+    else:
+        g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=out)
+    if noise is None:
+        noise = _NoiseSource(cfg, [(address, len(sizes) if sizes else 1)], (g, np.empty_like(g)))
+    z = noise.take(address)
+    if cfg.mode is not Mode.AGEM:
+        g += z  # bitwise z + g
+    return g, z
 
 
 def _blocks_read(n_blocks, task_id, step, cfg: TrainConfig):
@@ -165,15 +241,14 @@ def _blocks_read(n_blocks, task_id, step, cfg: TrainConfig):
     return chosen, (_ROLE_REF_NOISE, task_id, step, *(i + 1 for i in chosen))
 
 
-def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, read=None, out=None,
-              scratch=None, drawn=None):
-    """Mean reference gradient over the stored blocks read this step, read
-    (from _blocks_read) or chosen here when None. blocks[i] is the reference
-    split of task i + 1. The blocks' batches, gathered into one joint batch,
-    are one _batch_grad release, with one noise draw addressed by every block
-    id read; for one block that is the block's own batch and draw. Private
-    modes charge each block read at its sampling rate."""
-    chosen, address = _blocks_read(len(blocks), task_id, step, cfg) if read is None else read
+def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, out=None, noise=None):
+    """Mean reference gradient over the stored blocks _blocks_read picks this
+    step; blocks[i] is the reference split of task i + 1. The blocks'
+    batches, gathered into one joint batch, are one _batch_grad release (into
+    out, with its noise from noise), with one noise draw addressed by every
+    block id read; for one block that is the block's own batch and draw.
+    Private modes charge each block read at its sampling rate."""
+    chosen, address = _blocks_read(len(blocks), task_id, step, cfg)
     picks = []
     for i in chosen:
         block, block_id = blocks[i], i + 1
@@ -191,51 +266,48 @@ def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, read=None
         block.gather(idx, x[end:end + k], y[end:end + k])
         end += k
     joint = Dataset(x, y, blocks[0].num_classes)
-    return _batch_grad(net, joint, cfg, address, sizes if len(sizes) > 1 else None,
-                       out=out, scratch=scratch, drawn=drawn)
+    g, z = _batch_grad(net, joint, cfg, address, sizes if len(sizes) > 1 else None,
+                       out=out, noise=noise)
+    if noise is not None:
+        noise.give(z)
+    return g
 
 
 def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_callback=None,
-               buffers=None):
+               noise=None):
     """Train net on one task; when blocks (the stored reference splits of
     tasks 1..task_id-1) is not empty, every update is projected against
-    their reference gradient. buffers, a (3, num_params) array made here when
-    None, holds the step's gradients; no step reads an entry it has not
-    written, and none is written after this returns or raises."""
+    their reference gradient. noise, the run's _NoiseSource (one for this
+    task when None), holds the three step buffers, which rotate: the held
+    one takes the training clipped mean and its noise; that noise's buffer
+    takes the reference mean and its noise, whose buffer goes back; the
+    projection is written into the reference buffer, and the buffer the
+    update is not in goes back. No step reads an entry it has not written."""
+    if noise is None:
+        plan = _releases(cfg, [(task_id, len(blocks))])
+        with _NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
+            return train_task(net, train_data, blocks, ledger, cfg, task_id, step_callback, noise)
     n = len(train_data)
     p = cfg.sampling_rate
     params = net.params
-    g_buf, ref_buf, z_buf = np.empty((3, net.num_params)) if buffers is None else buffers
-    draw_ahead = (cfg.mode is not Mode.AGEM and cfg.noise.sigma > 0
-                  and net.num_params >= _DRAW_AHEAD_MIN_PARAMS)
-    train_drawn = ref_drawn = None
-    with ThreadPoolExecutor(1) if draw_ahead else nullcontext() as pool:
-        for step in range(cfg.steps_per_task):
-            address = (_ROLE_TRAIN_NOISE, task_id, step)
-            read = _blocks_read(len(blocks), task_id, step, cfg) if blocks else None
-            if pool is not None:
-                train_drawn = pool.submit(draw_noise, cfg.noise, address, g_buf).result
-                if read is not None:
-                    ref_drawn = pool.submit(draw_noise, cfg.noise, read[1], ref_buf).result
-            if step_callback is not None:
-                step_callback(step, net)
-            mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p
-            if ledger is not None:
-                ledger.track_training_step(task_id, p)
-            if mask.any():
-                g = _batch_grad(net, train_data.subset(np.flatnonzero(mask)), cfg, address,
-                                out=g_buf, scratch=z_buf, drawn=train_drawn)
-            elif cfg.mode is Mode.AGEM:
-                g = g_buf
-                g.fill(0.0)
-            else:  # the noise alone, summed with 0.0 as with a zero gradient
-                g = add_noise(0.0, cfg.noise, address, out=g_buf, drawn=train_drawn)
-            if read is not None:
-                g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger, read=read,
-                                  out=ref_buf, scratch=z_buf, drawn=ref_drawn)
-                g = project_gradient(g, g_ref, cfg.projection_rule, out=z_buf)
-            g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
-            params += g
+    g = noise.held
+    for step in range(cfg.steps_per_task):
+        if step_callback is not None:
+            step_callback(step, net)
+        mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p
+        if ledger is not None:
+            ledger.track_training_step(task_id, p)
+        idx = np.flatnonzero(mask)  # the batch itself is not held past its release
+        g, spare = _batch_grad(net, train_data.subset(idx) if len(idx) else None, cfg,
+                               (_ROLE_TRAIN_NOISE, task_id, step), out=g, noise=noise)
+        if blocks:
+            g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger, out=spare, noise=noise)
+            update = project_gradient(g, g_ref, cfg.projection_rule, out=g_ref)
+            g, spare = update, (g if update is g_ref else g_ref)
+        noise.give(spare)
+        g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
+        params += g
+    noise.held = g
     if step_callback is not None:
         step_callback(cfg.steps_per_task, net)
     return net
@@ -265,29 +337,30 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     num_classes = stream.tasks[0][0].num_classes
     net = nn.DenseNet.create([d, *cfg.hidden_dims, num_classes], seed=cfg.seed)
 
-    buffers = np.empty((3, net.num_params))  # one set for the whole run
     ledger = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
+    plan = _releases(cfg, [(t, t - 1) for t in range(1, stream.num_tasks + 1)])
+    # one set of step buffers for the whole run
+    with _NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
+        for t, (train_split, _, test_split, _) in enumerate(stream.tasks, start=1):
+            ledger.register_task(t)
+            trace = []
 
-    for t, (train_split, _, test_split, _) in enumerate(stream.tasks, start=1):
-        ledger.register_task(t)
-        trace = []
+            def record(step, net, _test=test_split, _trace=trace):
+                if step <= cfg.lca_beta:
+                    _trace.append(nn.accuracy(net, _test))
 
-        def record(step, net, _test=test_split, _trace=trace):
-            if step <= cfg.lca_beta:
-                _trace.append(nn.accuracy(net, _test))
-
-        blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
-        net = train_task(net, train_split, blocks, ledger if track_privacy else None,
-                         cfg, t, step_callback=record, buffers=buffers)
-        traces.append(trace)
-        for j in range(1, t):
-            matrix.set(t, j, nn.accuracy(net, stream.tasks[j - 1][2]))
-        # the trace's last point already holds the final net's accuracy on
-        # this task when every step up to steps_per_task was recorded
-        final = cfg.steps_per_task <= cfg.lca_beta
-        matrix.set(t, t, trace[-1] if final else nn.accuracy(net, test_split))
+            blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
+            net = train_task(net, train_split, blocks, ledger if track_privacy else None,
+                             cfg, t, step_callback=record, noise=noise)
+            traces.append(trace)
+            for j in range(1, t):
+                matrix.set(t, j, nn.accuracy(net, stream.tasks[j - 1][2]))
+            # the trace's last point already holds the final net's accuracy on
+            # this task when every step up to steps_per_task was recorded
+            final = cfg.steps_per_task <= cfg.lca_beta
+            matrix.set(t, t, trace[-1] if final else nn.accuracy(net, test_split))
 
     report = ledger.report(cfg.delta, cfg.policy)
     return RunResult(matrix, report, np.mean(traces, axis=0), ledger, net)

@@ -23,6 +23,16 @@ def test_loader_hand_built_fixture(tmp_path):
     assert ds.num_classes == 8
 
 
+def test_loader_scales_bitwise_like_one_division(tmp_path):
+    """The in-place scaling gives the bits of pixels.astype(float64) / 255."""
+    pixels = np.arange(256 * 3, dtype=np.uint8).reshape(12, 8, 8)  # every value, thrice
+    write_idx_archive(tmp_path / "img", tmp_path / "lbl", pixels, np.arange(12) % 4)
+    ds = load_idx_archive(tmp_path / "img", tmp_path / "lbl")
+    expected = pixels.reshape(12, 64).astype(np.float64) / 255.0
+    assert ds.x.dtype == np.float64
+    assert np.array_equal(ds.x.view(np.uint64), expected.view(np.uint64))
+
+
 def test_loader_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, size=(5, 3, 3), dtype=np.uint8)

@@ -117,3 +117,16 @@ def test_desk_scale_bad_seed_exits_config(tmp_path, monkeypatch, capsys):
                               monkeypatch, capsys)
     assert code == 2
     assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["run_full_scale", "run_desk_scale"])
+def test_script_out_under_a_file_exits_config_before_training(name, tmp_path, monkeypatch,
+                                                              capsys):
+    args = tiny_archives(tmp_path) if name == "run_full_scale" else []
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    code, errors = failed_run(name, [*args, "--seed", "0", "--out", str(blocker / "x")],
+                              monkeypatch, capsys)
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error: ") and str(blocker) in errors[0]
+    assert blocker.read_text() == "kept"

@@ -1,8 +1,10 @@
+import gc
 import math
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -188,6 +190,19 @@ def record_draw_threads(monkeypatch, helper_delay=0.0):
     return on_main
 
 
+def captured_buffers(monkeypatch):
+    """The step buffers of every noise source made from here on, in order."""
+    seen = []
+    real = trainer._NoiseSource.__init__
+
+    def recording(self, cfg, plan, buffers):
+        seen.append(buffers)
+        real(self, cfg, plan, buffers)
+
+    monkeypatch.setattr(trainer._NoiseSource, "__init__", recording)
+    return seen
+
+
 def test_agem_matches_reference_loop_bitwise():
     stream = small_stream(2)
     cfg = agem_cfg()
@@ -240,8 +255,10 @@ def test_full_width_private_run_draws_ahead_bitwise(monkeypatch):
 
 
 def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
-    """Four runs at once, each with its own helper thread, on a short switch
-    interval: a draw read before it is complete would change the parameters."""
+    """Six runs at once, each with its own helper thread (one per task for
+    train_task alone, one for the whole run for run_stream), on a short
+    switch interval: a draw read before it is complete, or a buffer handed
+    back while still in use, would change the parameters."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     stream = small_stream(3)
     cfg = private_cfg(Mode.DP_AGEM)
@@ -250,8 +267,9 @@ def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(4) as pool:
+        with ThreadPoolExecutor(6) as pool:
             runs = [pool.submit(train_package, stream, cfg, dims) for _ in range(4)]
+            runs += [pool.submit(lambda: run_stream(stream, cfg).net.params) for _ in range(2)]
             results = [run.result(timeout=60) for run in runs]
     finally:
         sys.setswitchinterval(interval)
@@ -287,7 +305,9 @@ def check_no_buffer_read_before_write(mode):
                        None, cfg, 3)
     poisoned = nn.DenseNet.create([d, 8, 3], seed=1)
     buffers = np.full((3, poisoned.num_params), np.nan)
-    train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, buffers=buffers)
+    plan = trainer._releases(cfg, [(3, len(blocks))])
+    with trainer._NoiseSource(cfg, plan, buffers) as noise:
+        train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, noise=noise)
     assert np.array_equal(poisoned.get_params(), fresh.get_params())
     assert np.all(np.isfinite(buffers))  # every buffer was written by the steps
 
@@ -355,18 +375,175 @@ def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
         train.x[:, 0] = np.nan
     cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
     net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
-    buffers = np.full((3, net.num_params), np.nan)
+    seen = captured_buffers(monkeypatch)
     threads = threading.active_count()
     if nan_feature:
         with pytest.raises(NumericError):
-            train_task(net, train, [stream.tasks[0][1]], None, cfg, 2, buffers=buffers)
+            train_task(net, train, [stream.tasks[0][1]], None, cfg, 2)
     else:
-        train_task(net, train, [stream.tasks[0][1]], None, cfg, 2, buffers=buffers)
+        train_task(net, train, [stream.tasks[0][1]], None, cfg, 2)
     assert threading.active_count() == threads
     assert on_main and not any(on_main)
+    (buffers,) = seen  # the task's own source, made by train_task
     after = buffers.copy()
     time.sleep(0.1)
     assert np.array_equal(buffers, after, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_draw_outlives_a_run_that_raises_in_task_two(monkeypatch):
+    """run_stream's helper thread is joined when a NaN feature in task 2
+    makes the run raise; each helper draw is slowed, so a draw left running
+    would land in the run's buffers after the call."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
+    stream = small_stream(3)
+    train, ref, test, perm = stream.tasks[1]
+    train = train.subset(np.arange(len(train)))
+    train.x[:, 0] = np.nan
+    stream = TaskStream([stream.tasks[0], (train, ref, test, perm), stream.tasks[2]])
+    seen = captured_buffers(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(NumericError):
+        run_stream(stream, private_cfg(Mode.DP_AGEM, epochs_per_task=1))
+    assert threading.active_count() == threads
+    assert on_main and not any(on_main)
+    (buffers,) = seen  # one source for the whole run
+    after = buffers.copy()
+    time.sleep(0.1)
+    assert np.array_equal(buffers, after, equal_nan=True)
+
+
+@pytest.mark.parametrize("gate", [0, 1 << 16])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_step_buffers_are_freed_when_training_returns(mode, gate, monkeypatch):
+    """No reference cycle keeps a finished noise source alive, so the step
+    buffers of run_stream and of train_task alone are freed on return, not
+    whenever the cyclic collector next runs."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
+    stream = small_stream(2)
+    cfg = agem_cfg(epochs_per_task=1) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=1)
+    net = nn.DenseNet.create([stream.tasks[0][0].feature_dim, 8, 3], seed=1)
+    seen = captured_buffers(monkeypatch)
+    gc.disable()
+    try:
+        run_stream(stream, cfg)
+        train_task(net, stream.tasks[1][0], [stream.tasks[0][1]], None, cfg, 2)
+        freed = [weakref.ref(seen.pop()) for _ in range(2)]
+        assert all(ref() is None for ref in freed)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("draw_ahead", [False, True])
+def test_noise_taken_out_of_plan_order_raises(draw_ahead, monkeypatch):
+    """A take must name the next planned release; past the plan's end it
+    raises rather than waits."""
+    if draw_ahead:
+        monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    cfg = private_cfg(Mode.DP_CL)
+    first, second = (_ROLE_TRAIN_NOISE, 1, 0), (_ROLE_TRAIN_NOISE, 1, 1)
+    with trainer._NoiseSource(cfg, [(first, 1), (second, 1)], np.zeros((3, 16))) as noise:
+        with pytest.raises(RuntimeError, match="not the next one planned"):
+            noise.take(second)
+    with trainer._NoiseSource(cfg, [(first, 1)], np.zeros((3, 16))) as noise:
+        z = noise.take(first)
+        assert np.array_equal(z, dp.add_noise(np.zeros(16), cfg.noise, first))
+        noise.give(z)
+        with pytest.raises(RuntimeError, match="not the next one planned"):
+            noise.take(second)
+
+
+def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
+    """The helper has drawn into both buffers it was lent and waits for one
+    that is never given back; leaving the with block still stops and joins
+    it. The block runs on a thread of its own, so a hang fails the test."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    cfg = private_cfg(Mode.DP_CL)
+    plan = [((_ROLE_TRAIN_NOISE, 1, step), 1) for step in range(3)]
+
+    def take_one_and_leave():
+        with trainer._NoiseSource(cfg, plan, np.zeros((3, 16))) as noise:
+            noise.take(plan[0][0])
+
+    block = threading.Thread(target=take_one_and_leave, daemon=True)
+    block.start()
+    block.join(timeout=10)
+    assert not block.is_alive()
+
+
+@pytest.mark.parametrize("draw_ahead", [False, True])
+def test_step_off_the_plan_adds_no_noise(draw_ahead, monkeypatch):
+    """A step whose release is not the next planned one raises before it adds
+    any noise: its buffer holds the bare clipped mean and params are untouched."""
+    if draw_ahead:
+        monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
+    stream = small_stream(2)
+    cfg = private_cfg(Mode.DP_CL, sampling_rate=1.0)
+    train = stream.tasks[0][0]
+    net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
+    before = net.get_params()
+    real = trainer._releases
+    monkeypatch.setattr(trainer, "_releases", lambda cfg, tasks: real(cfg, [(2, 1)]))
+    seen = captured_buffers(monkeypatch)
+    with pytest.raises(RuntimeError, match="not the next one planned"):
+        train_task(net, train, [], None, cfg, 1)
+    assert np.array_equal(net.params, before)
+    held = seen[0][0]
+    assert np.array_equal(held, nn.clipped_mean_grad(net, train, cfg.noise.clip_bound))
+
+
+def test_full_width_dp_agem_joint_release_draws_ahead_bitwise(monkeypatch):
+    """784-256-256-10 dp_agem over 3 tasks: task 3's reference release averages
+    two blocks, so its noise is scaled by 1/sqrt(2) on the helper thread; the
+    run is bitwise the reference loop and the inline run."""
+    base = make_synthetic(784, 10, 10, 0.6, seed=1)
+    stream = make_permuted_stream(base, 3, seed=1, ref_fraction=0.2)
+    cfg = private_cfg(Mode.DP_AGEM, hidden_dims=(256, 256), epochs_per_task=1, ref_batch_size=8)
+    addresses, on_main = [], []
+    real = dp.noise_rng
+
+    def recorded(seed, address=()):
+        addresses.append(tuple(address))
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(seed, address)
+
+    monkeypatch.setattr(dp, "noise_rng", recorded)
+    ahead = run_stream(stream, cfg)
+    assert ahead.net.num_params >= trainer._DRAW_AHEAD_MIN_PARAMS
+    assert on_main and not any(on_main)
+    assert (_ROLE_REF_NOISE, 3, 0, 1, 2) in addresses
+    monkeypatch.setattr(dp, "noise_rng", real)
+    assert np.array_equal(ahead.net.params,
+                          private_reference_params(stream, cfg, [784, 256, 256, 10]))
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", ahead.net.num_params + 1)
+    inline = run_stream(stream, cfg)
+    assert np.array_equal(ahead.net.params, inline.net.params)
+    assert ahead.report.total == inline.report.total
+
+
+@pytest.mark.parametrize("gate", [0, 1 << 16])
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_only_if_conflict_matches_reference_loop_bitwise(mode, gate, monkeypatch):
+    """Under ONLY_IF_CONFLICT some steps keep g unchanged, so the step gives
+    back its reference buffer instead of its training one; both happen here,
+    drawing ahead (gate 0) and inline."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
+    stream = small_stream(3)
+    cfg = private_cfg(mode, projection_rule=ProjectionRule.ONLY_IF_CONFLICT)
+    dims = [stream.tasks[0][0].feature_dim, 8, 3]
+    kept = []
+    real = trainer.project_gradient
+
+    def recorded(g, g_ref, rule, *, out=None):
+        update = real(g, g_ref, rule, out=out)
+        kept.append(update is g)
+        return update
+
+    monkeypatch.setattr(trainer, "project_gradient", recorded)
+    assert np.array_equal(train_package(stream, cfg, dims),
+                          private_reference_params(stream, cfg, dims))
+    assert True in kept and False in kept
 
 
 def test_first_task_never_touches_memory():
@@ -554,7 +731,7 @@ def test_clipped_gradients_respect_bound_pre_noise():
                       hidden_dims=(8,), sampling_rate=0.5, epochs_per_task=2, seed=9)
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
-    g = _batch_grad(net, stream.tasks[0][0], cfg, (0, 0, 0))
+    g, _ = _batch_grad(net, stream.tasks[0][0], cfg, (0, 0, 0))
     assert np.linalg.norm(g) <= 0.05 + 1e-12
 
 
