@@ -15,15 +15,15 @@ buffers that run_stream makes once per run and adds the update to net.params
 in place; called without out=, nn.grad, nn.clipped_mean_grad and
 project_gradient return new arrays.
 
-A run's private releases are planned before it trains (_releases), and one
-_NoiseSource per run draws their noise in that order into the step buffers.
-For a net with at least 2**16 parameters it draws on a helper thread, which
-run_stream starts after making the net and joins before it returns or
-raises: the next step's draws run while this thread projects, updates,
-evaluates and computes the clipped means, and numpy draws without holding
-the interpreter lock, so on a second core. Smaller nets draw inline, because
-there the handoff costs more than the overlap saves. The draws and float
-operations are the same either way, so the results are bitwise equal.
+What a step reads, draws and charges is decided once, by _plan, in one
+_Step record per step. One _NoiseSource per run draws the records' noise in
+order into the step buffers and hands each step its record. A private net
+with at least 2**16 parameters draws on a helper thread, which run_stream
+starts after making the net and joins before it returns or raises: the next
+step's draws run while this thread projects, updates, evaluates and computes
+the clipped means, and numpy draws without holding the interpreter lock, so
+on a second core. Smaller nets draw inline, because there the handoff costs
+more than the overlap saves. Both ways give bitwise the same results.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,38 +140,56 @@ def sample_indices(n, k, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=min(k, n), replace=False)
 
 
-def _releases(cfg: TrainConfig, tasks):
-    """The private releases of tasks, (task_id, number of stored blocks)
-    pairs, in step order: each step's training release, then the reference
-    release of the blocks _blocks_read picks, as (noise address, number of
-    blocks whose clipped means it averages)."""
-    for task_id, n_blocks in tasks:
+class _Step(NamedTuple):
+    """What one step reads, draws and charges."""
+    task_id: int
+    step: int
+    block_ids: tuple  # the blocks its reference release reads; block i is task i's ref split
+    releases: tuple   # (noise address, blocks B it averages) per release, training first
+    q_train: float    # the q charged for the training release
+    q_blocks: tuple   # the q charged for each block read
+
+
+def _plan(cfg: TrainConfig, tasks):
+    """The _Step records of tasks, (task_id, sizes of its stored blocks)
+    pairs, in step order. A reference release reads one uniformly chosen
+    block (agem, dp_cl) or every block (dp_agem), each charged at
+    share * min(k, |block|) / |block|."""
+    k, dp_agem = cfg.ref_batch_size, cfg.mode is Mode.DP_AGEM
+    for task_id, sizes in tasks:
+        share = 1.0 if dp_agem or not sizes else 1.0 / len(sizes)
         for step in range(cfg.steps_per_task):
-            yield (_ROLE_TRAIN_NOISE, task_id, step), 1
-            if n_blocks:
-                chosen, address = _blocks_read(n_blocks, task_id, step, cfg)
-                yield address, len(chosen)
+            if dp_agem or not sizes:  # every block, or none before task 2
+                ids = tuple(range(1, len(sizes) + 1))
+            else:
+                ids = (1 + sample_block(len(sizes), _rng(cfg.seed, _ROLE_BLOCK, task_id, step)),)
+            releases = (((_ROLE_TRAIN_NOISE, task_id, step), 1),)
+            if ids:
+                releases += (((_ROLE_REF_NOISE, task_id, step, *ids), len(ids)),)
+            yield _Step(task_id, step, ids, releases, cfg.sampling_rate,
+                        tuple(share * (min(k, sizes[i - 1]) / sizes[i - 1]) for i in ids))
 
 
 class _NoiseSource:
-    """Draws the noise of the releases in plan (dp.draw_noise), in order,
-    into the buffers after the first, which the step holds (held). take
-    hands out the next release's noise and give takes a buffer back. In a
-    with block, a net of _DRAW_AHEAD_MIN_PARAMS parameters or more draws
-    ahead on a helper thread, joined when the block ends; otherwise take
-    draws. An agem source only lends its buffers."""
+    """Draws the noise of the releases of plan's _Step records (dp.draw_noise),
+    in order, into the buffers after the first, which the step holds (held);
+    an agem source draws nothing and lends its buffers. take hands out the
+    next release's record and noise; give takes a buffer back. In a with
+    block, a private net of _DRAW_AHEAD_MIN_PARAMS or more parameters draws
+    ahead on a helper thread, joined when the block ends; otherwise take draws."""
 
     def __init__(self, cfg: TrainConfig, plan, buffers):
         self.held, *free = buffers
         self._free, self._drawn, self._helper = queue.SimpleQueue(), queue.SimpleQueue(), None
         for z in free:
             self._free.put(z)
+        self._noise = None if cfg.mode is Mode.AGEM else cfg.noise
         # the draws see the queue, not self: a reference cycle would keep a
         # finished source and its buffers alive until the cyclic collector ran
-        self._draws = None if cfg.mode is Mode.AGEM else self._drawing(self._free, cfg.noise, plan)
+        self._draws = self._drawing(self._free, self._noise, plan)
 
     def __enter__(self):
-        if self._draws is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
+        if self._noise is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
             self._helper = threading.Thread(target=self._draw_ahead, daemon=True)
             self._helper.start()
         return self
@@ -182,11 +201,12 @@ class _NoiseSource:
 
     @staticmethod
     def _drawing(free, noise, plan):
-        for address, n_blocks in plan:
-            z = free.get()
-            if z is None:
-                return
-            yield address, draw_noise(noise, address, z, n_blocks)
+        for record in plan:
+            for address, n_blocks in record.releases:
+                z = free.get()
+                if z is None:
+                    return
+                yield record, z if noise is None else draw_noise(noise, address, z, n_blocks)
 
     def _draw_ahead(self):
         try:
@@ -195,26 +215,24 @@ class _NoiseSource:
         finally:
             self._drawn.put(None)  # so that take raises rather than waits
 
-    def take(self, address):
-        """The noise of the release at address, which must be the next one planned."""
-        if self._draws is None:
-            return self._free.get()
+    def take(self, task_id, step):
+        """The next planned release's record and noise; it must be of this step."""
         drawn = self._drawn.get() if self._helper is not None else next(self._draws, None)
-        if drawn is None or drawn[0] != address:
-            raise RuntimeError(f"release {address} is not the next one planned")
-        return drawn[1]
+        if drawn is None or (drawn[0].task_id, drawn[0].step) != (task_id, step):
+            raise RuntimeError(f"release of task {task_id} step {step} is not the next one planned")
+        return drawn
 
     def give(self, z):
         self._free.put(z)
 
 
-def _batch_grad(net, batch, cfg: TrainConfig, address, sizes=None, *, out=None, noise=None):
+def _batch_grad(net, batch, cfg: TrainConfig, noise, task_id, step, sizes=None, *, out=None):
     """The gradient one step releases for a batch (None: no example, a zero
     gradient): the plain mean for agem; otherwise the mean of the per-example
     clipped gradients, or with sizes (B private groups) of the groups'
-    clipped means, plus noise.take(address) (from a one-release source when
-    None). Written into out (a new array when None); returns it and the
-    buffer taken from noise, which the caller gives back."""
+    clipped means, plus the noise noise.take hands out for this step. Written
+    into out (a new array when None); returns it, the step's record and the
+    noise buffer, which the caller gives back."""
     if batch is None:
         g = out
         g.fill(0.0)
@@ -222,42 +240,21 @@ def _batch_grad(net, batch, cfg: TrainConfig, address, sizes=None, *, out=None, 
         g = nn.grad(net, batch, out=out)
     else:
         g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=out)
-    if noise is None:
-        noise = _NoiseSource(cfg, [(address, len(sizes) if sizes else 1)], (g, np.empty_like(g)))
-    z = noise.take(address)
+    record, z = noise.take(task_id, step)
     if cfg.mode is not Mode.AGEM:
         g += z  # bitwise z + g
-    return g, z
+    return g, record, z
 
 
-def _blocks_read(n_blocks, task_id, step, cfg: TrainConfig):
-    """The stored blocks the reference gradient reads this step, as indices
-    into the block list, and the address of their one noise draw: one
-    uniformly chosen block for agem and dp_cl, every block for dp_agem."""
-    if cfg.mode is Mode.DP_AGEM:
-        chosen = range(n_blocks)
-    else:
-        chosen = [sample_block(n_blocks, _rng(cfg.seed, _ROLE_BLOCK, task_id, step))]
-    return chosen, (_ROLE_REF_NOISE, task_id, step, *(i + 1 for i in chosen))
-
-
-def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, out=None, noise=None):
-    """Mean reference gradient over the stored blocks _blocks_read picks this
-    step; blocks[i] is the reference split of task i + 1. The blocks'
-    batches, gathered into one joint batch, are one _batch_grad release (into
-    out, with its noise from noise), with one noise draw addressed by every
-    block id read; for one block that is the block's own batch and draw.
-    Private modes charge each block read at its sampling rate."""
-    chosen, address = _blocks_read(len(blocks), task_id, step, cfg)
-    picks = []
-    for i in chosen:
-        block, block_id = blocks[i], i + 1
-        idx = sample_indices(len(block), cfg.ref_batch_size,
-                             _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block_id))
-        picks.append((block, idx))
-        if ledger is not None:
-            share = 1.0 if cfg.mode is Mode.DP_AGEM else 1.0 / len(blocks)
-            ledger.track_ref_step(task_id, block_id, share * (len(idx) / len(block)))
+def _ref_grad(net, blocks, record: _Step, cfg: TrainConfig, noise, *, out=None):
+    """Mean reference gradient over the stored blocks record reads; blocks[i]
+    is the reference split of task i + 1. Their batches, gathered into one
+    joint batch, are one _batch_grad release (into out, with its noise from
+    noise); for one block that is the block's own batch and draw."""
+    task_id, step = record.task_id, record.step
+    picks = [(blocks[i - 1], sample_indices(len(blocks[i - 1]), cfg.ref_batch_size,
+                                            _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, i)))
+             for i in record.block_ids]
     sizes = [len(idx) for _, idx in picks]
     x = np.empty((sum(sizes), blocks[0].feature_dim))
     y = np.empty(len(x), dtype=np.int64)
@@ -266,10 +263,9 @@ def _ref_grad(net, blocks, task_id, step, cfg: TrainConfig, ledger, *, out=None,
         block.gather(idx, x[end:end + k], y[end:end + k])
         end += k
     joint = Dataset(x, y, blocks[0].num_classes)
-    g, z = _batch_grad(net, joint, cfg, address, sizes if len(sizes) > 1 else None,
-                       out=out, noise=noise)
-    if noise is not None:
-        noise.give(z)
+    g, _, z = _batch_grad(net, joint, cfg, noise, task_id, step,
+                          sizes if len(sizes) > 1 else None, out=out)
+    noise.give(z)
     return g
 
 
@@ -277,31 +273,34 @@ def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_
                noise=None):
     """Train net on one task; when blocks (the stored reference splits of
     tasks 1..task_id-1) is not empty, every update is projected against
-    their reference gradient. noise, the run's _NoiseSource (one for this
-    task when None), holds the three step buffers, which rotate: the held
-    one takes the training clipped mean and its noise; that noise's buffer
-    takes the reference mean and its noise, whose buffer goes back; the
-    projection is written into the reference buffer, and the buffer the
-    update is not in goes back. No step reads an entry it has not written."""
+    their reference gradient; a step reads the blocks and charges ledger the
+    qs of the record its training release brings. noise, the run's
+    _NoiseSource (one for this task when None), holds the three step
+    buffers, which rotate: the held one takes the training clipped mean and
+    its noise; that noise's buffer takes the reference mean and its noise,
+    whose buffer goes back; the projection is written into the reference
+    buffer, and the buffer the update is not in goes back. No step reads an
+    entry it has not written."""
     if noise is None:
-        plan = _releases(cfg, [(task_id, len(blocks))])
+        plan = _plan(cfg, [(task_id, [len(block) for block in blocks])])
         with _NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
             return train_task(net, train_data, blocks, ledger, cfg, task_id, step_callback, noise)
     n = len(train_data)
-    p = cfg.sampling_rate
     params = net.params
     g = noise.held
     for step in range(cfg.steps_per_task):
         if step_callback is not None:
             step_callback(step, net)
-        mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p
-        if ledger is not None:
-            ledger.track_training_step(task_id, p)
+        mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < cfg.sampling_rate
         idx = np.flatnonzero(mask)  # the batch itself is not held past its release
-        g, spare = _batch_grad(net, train_data.subset(idx) if len(idx) else None, cfg,
-                               (_ROLE_TRAIN_NOISE, task_id, step), out=g, noise=noise)
-        if blocks:
-            g_ref = _ref_grad(net, blocks, task_id, step, cfg, ledger, out=spare, noise=noise)
+        g, record, spare = _batch_grad(net, train_data.subset(idx) if len(idx) else None, cfg,
+                                       noise, task_id, step, out=g)
+        if ledger is not None:
+            ledger.track_training_step(record.task_id, record.q_train)
+            for block_id, q in zip(record.block_ids, record.q_blocks):
+                ledger.track_ref_step(record.task_id, block_id, q)
+        if record.block_ids:
+            g_ref = _ref_grad(net, blocks, record, cfg, noise, out=spare)
             update = project_gradient(g, g_ref, cfg.projection_rule, out=g_ref)
             g, spare = update, (g if update is g_ref else g_ref)
         noise.give(spare)
@@ -340,7 +339,8 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     ledger = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
-    plan = _releases(cfg, [(t, t - 1) for t in range(1, stream.num_tasks + 1)])
+    sizes = [len(ref) for _, ref, _, _ in stream.tasks]
+    plan = _plan(cfg, [(t, sizes[:t - 1]) for t in range(1, stream.num_tasks + 1)])
     # one set of step buffers for the whole run
     with _NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
         for t, (train_split, _, test_split, _) in enumerate(stream.tasks, start=1):

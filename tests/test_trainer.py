@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcl import dp, nn, trainer
-from dpcl.accountant import MomentState
-from dpcl.data import Dataset, TaskStream, make_permuted_stream, make_synthetic
+from dpcl.accountant import MomentState, PrivacyLedger
+from dpcl.data import Dataset, TaskSplit, TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.errors import ConfigError, NumericError
 from dpcl.trainer import (
@@ -305,7 +305,7 @@ def check_no_buffer_read_before_write(mode):
                        None, cfg, 3)
     poisoned = nn.DenseNet.create([d, 8, 3], seed=1)
     buffers = np.full((3, poisoned.num_params), np.nan)
-    plan = trainer._releases(cfg, [(3, len(blocks))])
+    plan = trainer._plan(cfg, [(3, [len(block) for block in blocks])])
     with trainer._NoiseSource(cfg, plan, buffers) as noise:
         train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, noise=noise)
     assert np.array_equal(poisoned.get_params(), fresh.get_params())
@@ -442,16 +442,17 @@ def test_noise_taken_out_of_plan_order_raises(draw_ahead, monkeypatch):
     if draw_ahead:
         monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
-    first, second = (_ROLE_TRAIN_NOISE, 1, 0), (_ROLE_TRAIN_NOISE, 1, 1)
-    with trainer._NoiseSource(cfg, [(first, 1), (second, 1)], np.zeros((3, 16))) as noise:
+    first, second = list(trainer._plan(cfg, [(1, [])]))[:2]
+    with trainer._NoiseSource(cfg, [first, second], np.zeros((3, 16))) as noise:
         with pytest.raises(RuntimeError, match="not the next one planned"):
-            noise.take(second)
-    with trainer._NoiseSource(cfg, [(first, 1)], np.zeros((3, 16))) as noise:
-        z = noise.take(first)
-        assert np.array_equal(z, dp.add_noise(np.zeros(16), cfg.noise, first))
+            noise.take(1, 1)
+    with trainer._NoiseSource(cfg, [first], np.zeros((3, 16))) as noise:
+        record, z = noise.take(1, 0)
+        assert record is first
+        assert np.array_equal(z, dp.add_noise(np.zeros(16), cfg.noise, first.releases[0][0]))
         noise.give(z)
         with pytest.raises(RuntimeError, match="not the next one planned"):
-            noise.take(second)
+            noise.take(1, 1)
 
 
 def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
@@ -460,11 +461,11 @@ def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
     it. The block runs on a thread of its own, so a hang fails the test."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
-    plan = [((_ROLE_TRAIN_NOISE, 1, step), 1) for step in range(3)]
+    plan = list(trainer._plan(cfg, [(1, [])]))[:3]
 
     def take_one_and_leave():
         with trainer._NoiseSource(cfg, plan, np.zeros((3, 16))) as noise:
-            noise.take(plan[0][0])
+            noise.take(1, 0)
 
     block = threading.Thread(target=take_one_and_leave, daemon=True)
     block.start()
@@ -483,8 +484,8 @@ def test_step_off_the_plan_adds_no_noise(draw_ahead, monkeypatch):
     train = stream.tasks[0][0]
     net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
     before = net.get_params()
-    real = trainer._releases
-    monkeypatch.setattr(trainer, "_releases", lambda cfg, tasks: real(cfg, [(2, 1)]))
+    real = trainer._plan
+    monkeypatch.setattr(trainer, "_plan", lambda cfg, tasks: real(cfg, [(2, [len(train)])]))
     seen = captured_buffers(monkeypatch)
     with pytest.raises(RuntimeError, match="not the next one planned"):
         train_task(net, train, [], None, cfg, 1)
@@ -602,6 +603,76 @@ def test_dp_agem_charges_every_block():
         assert np.array_equal(by_block[block_id].log_moments, expected.log_moments)
 
 
+@pytest.mark.parametrize("gate", [0, 1 << 16])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatch):
+    """The (_ROLE_BLOCK, task, step) generator is built once for each step
+    that reads a memory, by the plan alone; dp_agem reads every block and
+    draws no choice. Gate 0 walks the plan on the helper thread."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
+    built = []
+    real = trainer._rng
+
+    def counted(seed, *key):
+        if key[0] == _ROLE_BLOCK:
+            built.append(key[1:])
+        return real(seed, *key)
+
+    monkeypatch.setattr(trainer, "_rng", counted)
+    cfg = agem_cfg(epochs_per_task=2) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=2)
+    run_stream(small_stream(3), cfg)
+    reads = [(t, step) for t in (2, 3) for step in range(cfg.steps_per_task)]
+    assert built == ([] if mode is Mode.DP_AGEM else reads)
+
+
+@pytest.mark.parametrize("gate", [0, 1 << 16])
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
+    """Charging the plan's records, in order, into a fresh ledger gives the
+    run's ledger bitwise, and each reference release gathers exactly the
+    blocks its record names."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
+    records, gathered = [], []
+    real_plan, real_ref_grad, real_gather = trainer._plan, trainer._ref_grad, TaskSplit.gather
+
+    def recorded_plan(cfg, tasks):
+        for record in real_plan(cfg, tasks):
+            records.append(record)
+            yield record
+
+    def recorded_ref_grad(net, blocks, record, *args, **kwargs):
+        gathered.append((record, blocks, []))
+        return real_ref_grad(net, blocks, record, *args, **kwargs)
+
+    def recorded_gather(self, idx, x_out, y_out):
+        _, blocks, read = gathered[-1]
+        read.append(1 + [block is self for block in blocks].index(True))
+        return real_gather(self, idx, x_out, y_out)
+
+    monkeypatch.setattr(trainer, "_plan", recorded_plan)
+    monkeypatch.setattr(trainer, "_ref_grad", recorded_ref_grad)
+    monkeypatch.setattr(TaskSplit, "gather", recorded_gather)
+    stream = small_stream(4)
+    cfg = private_cfg(mode, epochs_per_task=2)
+    result = run_stream(stream, cfg)
+    assert len(records) == 4 * cfg.steps_per_task
+    assert [r for r in records if r.block_ids] == [record for record, _, _ in gathered]
+    assert all(read == list(record.block_ids) for record, _, read in gathered)
+    replay = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
+    for t in range(1, 5):
+        replay.register_task(t)
+    for record in records:
+        replay.track_training_step(record.task_id, record.q_train)
+        for block_id, q in zip(record.block_ids, record.q_blocks):
+            replay.track_ref_step(record.task_id, block_id, q)
+    for table in ("train_states", "ref_states_by_task", "ref_states_by_block"):
+        ran, replayed_states = getattr(result.ledger, table), getattr(replay, table)
+        assert list(ran) == list(replayed_states)
+        for key, state in ran.items():
+            assert state.steps == replayed_states[key].steps
+            assert np.array_equal(state.log_moments, replayed_states[key].log_moments)
+
+
 def test_dp_cl_and_dp_agem_coincide_with_single_block():
     stream = small_stream(2)
     base = dict(hidden_dims=(8,), sampling_rate=0.25, epochs_per_task=3,
@@ -619,19 +690,20 @@ def test_dp_agem_noiseless_single_block_ref_gradient():
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
     block = stream.tasks[0][1]
-    g_ref = _ref_grad(net, [block], 2, 0, cfg, None)
+    g_ref, _ = released_ref_grad(net, [block], 2, 0, cfg)
     # huge clip bound + sigma 0 + whole-block batch -> plain block gradient
     assert np.allclose(g_ref, nn.grad(net, block), atol=1e-12)
 
 
-class RefStepRecorder:
-    """Stands in for the ledger and records the block ids it is charged for."""
-
-    def __init__(self):
-        self.block_ids = []
-
-    def track_ref_step(self, task_id, block_id, q):
-        self.block_ids.append(block_id)
+def released_ref_grad(net, blocks, task_id, step, cfg):
+    """_ref_grad at step `step` of task_id, with its record and noise from a
+    plan of that step alone (its training noise is drawn and left unused);
+    returns the reference gradient and the record."""
+    plan = [r for r in trainer._plan(cfg, [(task_id, [len(b) for b in blocks])]) if r.step == step]
+    with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
+        record, z = noise.take(task_id, step)
+        noise.give(z)
+        return _ref_grad(net, blocks, record, cfg, noise), record
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 4])
@@ -653,11 +725,12 @@ def test_dp_agem_ref_step_is_one_backward_and_one_draw(n_blocks, monkeypatch):
 
     monkeypatch.setattr(nn, "_backward", counted_backward)
     monkeypatch.setattr(dp, "noise_rng", counted_noise_rng)
-    ledger = RefStepRecorder()
-    _ref_grad(net, blocks, n_blocks + 1, 3, cfg, ledger)
+    _, record = released_ref_grad(net, blocks, n_blocks + 1, 3, cfg)
     assert backward_rows == [n_blocks * cfg.ref_batch_size]
-    assert addresses == [(_ROLE_REF_NOISE, n_blocks + 1, 3, *range(1, n_blocks + 1))]
-    assert ledger.block_ids == list(range(1, n_blocks + 1))
+    ref_address = (_ROLE_REF_NOISE, n_blocks + 1, 3, *range(1, n_blocks + 1))
+    assert addresses == [(_ROLE_TRAIN_NOISE, n_blocks + 1, 3), ref_address]
+    assert record.block_ids == tuple(range(1, n_blocks + 1))
+    assert record.releases[1] == (ref_address, n_blocks)
 
 
 def three_unequal_blocks():
@@ -675,7 +748,7 @@ def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
             len(block), cfg.ref_batch_size, _rng(cfg.seed, _ROLE_REF_IDX, 4, 0, block_id))),
             cfg.noise.clip_bound)
         for block_id, block in enumerate(blocks, start=1)], axis=0)
-    g_ref = _ref_grad(net, blocks, 4, 0, cfg, None)
+    g_ref, _ = released_ref_grad(net, blocks, 4, 0, cfg)
     # equal up to GEMM row blocking: one pass over 7 + 9 + 9 rows against three
     assert np.abs(g_ref - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -690,7 +763,8 @@ def test_dp_agem_ref_noise_is_one_draw_at_sigma_beta_over_root_blocks():
     net = nn.DenseNet.create([blocks[0].feature_dim, 256, 3], seed=cfg.seed)
     assert net.num_params > 3_000
     noiseless = replace(cfg, noise=replace(cfg.noise, sigma=0.0))
-    diff = _ref_grad(net, blocks, 4, 0, cfg, None) - _ref_grad(net, blocks, 4, 0, noiseless, None)
+    diff = (released_ref_grad(net, blocks, 4, 0, cfg)[0]
+            - released_ref_grad(net, blocks, 4, 0, noiseless)[0])
     assert np.std(diff) == pytest.approx(cfg.noise.sigma * beta / np.sqrt(3), rel=0.05)
 
 
@@ -731,7 +805,9 @@ def test_clipped_gradients_respect_bound_pre_noise():
                       hidden_dims=(8,), sampling_rate=0.5, epochs_per_task=2, seed=9)
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
-    g, _ = _batch_grad(net, stream.tasks[0][0], cfg, (0, 0, 0))
+    plan = trainer._plan(cfg, [(1, [])])
+    with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
+        g, _, _ = _batch_grad(net, stream.tasks[0][0], cfg, noise, 1, 0)
     assert np.linalg.norm(g) <= 0.05 + 1e-12
 
 
@@ -750,8 +826,8 @@ def test_ref_grad_sensitivity_is_two_beta_over_k(mode, seed):
     net = nn.DenseNet.create([block.feature_dim, 8, 3], seed=seed)
     neighbour = block.subset(np.arange(k))
     neighbour.x[0], neighbour.y[0] = spare.x[0], spare.y[0]
-    g = _ref_grad(net, [block], 2, 0, cfg, None)
-    g_nb = _ref_grad(net, [neighbour], 2, 0, cfg, None)
+    g, _ = released_ref_grad(net, [block], 2, 0, cfg)
+    g_nb, _ = released_ref_grad(net, [neighbour], 2, 0, cfg)
     assert np.linalg.norm(g - g_nb) <= 2 * beta / k + 1e-12
 
 
