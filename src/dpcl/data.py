@@ -45,9 +45,6 @@ class Dataset:
     def feature_dim(self):
         return self.x.shape[1]
 
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.x[idx], self.y[idx], self.num_classes)
-
     def gather(self, idx, x_out, y_out):
         """Write the rows idx into x_out and their labels into y_out."""
         np.take(self.x, idx, axis=0, out=x_out)
@@ -56,9 +53,8 @@ class Dataset:
 
 class TaskSplit:
     """The rows `rows` of src (all of them when None), their features in the
-    order perm. Reading x gathers the whole split and subset the rows asked
-    for, each into a new C-ordered array; gather writes the rows asked for
-    into the caller's arrays. Nothing is cached."""
+    order perm. gather, the one way to read it, writes the rows asked for
+    into the caller's arrays; nothing is cached."""
 
     def __init__(self, src: Dataset, rows, perm):
         self.src, self.rows, self.perm = src, rows, perm
@@ -74,33 +70,12 @@ class TaskSplit:
     def feature_dim(self):
         return len(self.perm)
 
-    @property
-    def y(self):
-        return self.src.y if self.rows is None else self.src.y[self.rows]
-
-    @property
-    def x(self):
-        return self._features(self.rows)
-
-    def _features(self, rows, out=None):
-        x = self.src.x if rows is None else self.src.x[rows]
-        # take keeps C order, which x[:, perm] would not; the einsums of
-        # nn._example_sq_norms sum an F-ordered batch in another order. perm
-        # is a permutation, so "clip" never clips; it lets take write
-        # straight into out, where "raise" fills a temporary copy first.
-        return np.take(x, self.perm, axis=1, out=out, mode="clip")
-
-    def _rows(self, idx):
-        return idx if self.rows is None else self.rows[idx]
-
-    def subset(self, idx) -> Dataset:
-        rows = self._rows(idx)
-        return Dataset(self._features(rows), self.src.y[rows], self.num_classes)
-
     def gather(self, idx, x_out, y_out):
         """Write the rows idx of the split into x_out and their labels into y_out."""
-        rows = self._rows(idx)
-        self._features(rows, out=x_out)
+        rows = idx if self.rows is None else self.rows[idx]
+        # perm is a permutation, so "clip" never clips; it lets take write
+        # straight into x_out, where "raise" fills a temporary copy first.
+        np.take(self.src.x[rows], self.perm, axis=1, out=x_out, mode="clip")
         np.take(self.src.y, rows, out=y_out)
 
 
@@ -184,16 +159,17 @@ def make_synthetic(d, num_classes, n_per_class, margin, seed) -> Dataset:
     for c in range(num_classes):
         means[c, c * block:(c + 1) * block] = margin
     sigma_blob = margin / 12.0
-    if n_per_class == 0:
-        return Dataset(np.zeros((0, d)), np.zeros(0, dtype=np.int64), num_classes)
-    xs, ys = [], []
+    # one array filled class by class and clipped in place: the result and
+    # its shuffled copy are the only example-sized arrays
+    x = np.empty((num_classes * n_per_class, d))
     for c in range(num_classes):
-        xs.append(means[c] + sigma_blob * rng.standard_normal((n_per_class, d)))
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
-    x = np.clip(np.concatenate(xs), 0.0, 1.0)
-    y = np.concatenate(ys)
-    perm = rng.permutation(len(y))
-    return Dataset(x[perm], y[perm], num_classes)
+        blob = x[c * n_per_class:(c + 1) * n_per_class]
+        rng.standard_normal(out=blob)
+        blob *= sigma_blob
+        blob += means[c]
+    np.clip(x, 0.0, 1.0, out=x)
+    perm = rng.permutation(len(x))
+    return Dataset(x[perm], np.repeat(np.arange(num_classes), n_per_class)[perm], num_classes)
 
 
 def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
@@ -227,6 +203,9 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
     if test.feature_dim != d:
         raise ConfigError(f"test examples have {test.feature_dim} features, "
                           f"training examples {d}")
+    if test.num_classes > base.num_classes:
+        raise ConfigError(f"test labels reach class {test.num_classes - 1}, but the training "
+                          f"examples have {base.num_classes} classes")
 
     n_ref = int(round(ref_fraction * len(pool)))
     if not 0 < n_ref < len(pool):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,3 @@ def draw_noise(cfg: NoiseConfig, address, out, n_blocks=1) -> np.ndarray:
     z *= cfg.sigma / math.sqrt(n_blocks) * cfg.clip_bound
     return z
 
-
-def add_noise(g, cfg: NoiseConfig, address=()) -> np.ndarray:
-    """g + i.i.d. N(0, sigma^2 * beta^2) per coordinate, reproducible per
-    address, in a new array."""
-    g = np.asarray(g, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("gradient contains NaN/Inf")
-    if cfg.sigma == 0.0:
-        return g.copy()
-    z = draw_noise(cfg, address, np.empty(g.shape))
-    z += g
-    return z

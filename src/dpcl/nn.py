@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
 
+_EVAL_ROWS = 500  # rows per chunk of an evaluation
+
 
 def log_softmax(logits):
     # log-sum-exp keeps the cross entropy stable for large logits
@@ -161,7 +163,16 @@ def clipped_mean_grad(net: DenseNet, batch, beta, sizes=None, *, out=None) -> np
 
 def accuracy(net: DenseNet, dataset) -> float:
     """Fraction of argmax-correct predictions (ties break to the lowest index).
-    Reads dataset.x once, so a TaskSplit gathers its examples once."""
+    Reads dataset through gather, _EVAL_ROWS rows at a time into one buffer,
+    so no more than one chunk of a TaskSplit is gathered at once."""
     _check_batch(net, dataset)
-    _, logits = net._forward_batch(dataset.x)
-    return float((logits.argmax(axis=1) == dataset.y).mean())
+    n = len(dataset)
+    x = np.empty((min(n, _EVAL_ROWS), dataset.feature_dim))
+    y = np.empty(len(x), dtype=np.int64)
+    correct = 0
+    for start in range(0, n, _EVAL_ROWS):
+        k = min(_EVAL_ROWS, n - start)
+        dataset.gather(np.arange(start, start + k), x[:k], y[:k])
+        _, logits = net._forward_batch(x[:k])
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == y[:k]))
+    return correct / n  # bitwise the mean of the n correct/incorrect flags

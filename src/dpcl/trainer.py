@@ -246,6 +246,18 @@ def _batch_grad(net, batch, cfg: TrainConfig, noise, task_id, step, sizes=None, 
     return g, record, z
 
 
+def _gather(picks):
+    """One new batch of the rows idx of each (split, idx) pick, in turn."""
+    first = picks[0][0]
+    x = np.empty((sum(len(idx) for _, idx in picks), first.feature_dim))
+    y = np.empty(len(x), dtype=np.int64)
+    end = 0
+    for split, idx in picks:
+        split.gather(idx, x[end:end + len(idx)], y[end:end + len(idx)])
+        end += len(idx)
+    return Dataset(x, y, first.num_classes)
+
+
 def _ref_grad(net, blocks, record: _Step, cfg: TrainConfig, noise, *, out=None):
     """Mean reference gradient over the stored blocks record reads; blocks[i]
     is the reference split of task i + 1. Their batches, gathered into one
@@ -256,14 +268,7 @@ def _ref_grad(net, blocks, record: _Step, cfg: TrainConfig, noise, *, out=None):
                                             _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, i)))
              for i in record.block_ids]
     sizes = [len(idx) for _, idx in picks]
-    x = np.empty((sum(sizes), blocks[0].feature_dim))
-    y = np.empty(len(x), dtype=np.int64)
-    end = 0
-    for (block, idx), k in zip(picks, sizes):
-        block.gather(idx, x[end:end + k], y[end:end + k])
-        end += k
-    joint = Dataset(x, y, blocks[0].num_classes)
-    g, _, z = _batch_grad(net, joint, cfg, noise, task_id, step,
+    g, _, z = _batch_grad(net, _gather(picks), cfg, noise, task_id, step,
                           sizes if len(sizes) > 1 else None, out=out)
     noise.give(z)
     return g
@@ -293,8 +298,8 @@ def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_
             step_callback(step, net)
         mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < cfg.sampling_rate
         idx = np.flatnonzero(mask)  # the batch itself is not held past its release
-        g, record, spare = _batch_grad(net, train_data.subset(idx) if len(idx) else None, cfg,
-                                       noise, task_id, step, out=g)
+        g, record, spare = _batch_grad(net, _gather([(train_data, idx)]) if len(idx) else None,
+                                       cfg, noise, task_id, step, out=g)
         if ledger is not None:
             ledger.track_training_step(record.task_id, record.q_train)
             for block_id, q in zip(record.block_ids, record.q_blocks):

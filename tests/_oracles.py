@@ -7,10 +7,14 @@ gradient matrix clipped row by row instead of the ghost-norm clipped mean,
 direct formula evaluation for the budgets, one closed-form moment order at
 a time instead of the accountant's single array pass. The exceptions are
 membership_expectation_check, which drives the real sampler so that the
-gate covers the draws the trainer makes, and forward and loss, which read
-the net's own batch forward pass so that finite differences of loss test
-the backprop of exactly that function. write_idx_archive is the inverse of
-the archive loader, used to build fixtures.
+gate covers the draws the trainer makes; forward, loss and whole_accuracy,
+which read the net's own batch forward pass so that finite differences of
+loss test the backprop of exactly that function and the chunked accuracy is
+checked against one pass over the whole split; add_noise, which draws the
+package's own addressed noise; and gathered, which reads a split through
+its own gather, the one way to read one. write_idx_archive is the inverse
+of the archive loader, used to build fixtures; make_synthetic_reference is
+the synthetic generator as first written, three arrays at once.
 """
 
 import struct
@@ -19,8 +23,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
-from dpcl.data import IMAGE_MAGIC, LABEL_MAGIC
-from dpcl.errors import InputError, StateError
+from dpcl.data import IMAGE_MAGIC, LABEL_MAGIC, Dataset
+from dpcl.dp import NoiseConfig, draw_noise
+from dpcl.errors import InputError, NumericError, StateError
 from dpcl.nn import _check_batch, log_softmax
 from dpcl.trainer import sample_block, sample_indices
 
@@ -96,6 +101,58 @@ def loss(net, batch):
     _, logits = net._forward_batch(batch.x)
     logp = log_softmax(logits)
     return float(-logp[np.arange(len(batch)), batch.y].mean())
+
+
+def whole_accuracy(net, dataset):
+    """Fraction of argmax-correct predictions from one forward pass over the
+    whole dataset, gathered at once."""
+    batch = gathered(dataset)
+    _check_batch(net, batch)
+    _, logits = net._forward_batch(batch.x)
+    return float((logits.argmax(axis=1) == batch.y).mean())
+
+
+def gathered(split, idx=None):
+    """The rows idx of split (all of them when None) as a new Dataset,
+    written by split.gather."""
+    idx = np.arange(len(split)) if idx is None else np.asarray(idx, dtype=np.intp)
+    x, y = np.empty((len(idx), split.feature_dim)), np.empty(len(idx), dtype=np.int64)
+    split.gather(idx, x, y)
+    return Dataset(x, y, split.num_classes)
+
+
+def add_noise(g, cfg: NoiseConfig, address=()):
+    """g + i.i.d. N(0, sigma^2 * beta^2) per coordinate, reproducible per
+    address, in a new array."""
+    g = np.asarray(g, dtype=np.float64)
+    if not np.all(np.isfinite(g)):
+        raise NumericError("gradient contains NaN/Inf")
+    if cfg.sigma == 0.0:
+        return g.copy()
+    z = draw_noise(cfg, address, np.empty(g.shape))
+    z += g
+    return z
+
+
+def make_synthetic_reference(d, num_classes, n_per_class, margin, seed):
+    """(x, y) of make_synthetic for valid arguments: one array per class,
+    their concatenation and its clip, then the shuffle."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(901,)))
+    block = d // num_classes
+    means = np.zeros((num_classes, d))
+    for c in range(num_classes):
+        means[c, c * block:(c + 1) * block] = margin
+    sigma_blob = margin / 12.0
+    if n_per_class == 0:
+        return np.zeros((0, d)), np.zeros(0, dtype=np.int64)
+    xs, ys = [], []
+    for c in range(num_classes):
+        xs.append(means[c] + sigma_blob * rng.standard_normal((n_per_class, d)))
+        ys.append(np.full(n_per_class, c, dtype=np.int64))
+    x = np.clip(np.concatenate(xs), 0.0, 1.0)
+    y = np.concatenate(ys)
+    perm = rng.permutation(len(y))
+    return x[perm], y[perm]
 
 
 def initial_params(layer_dims, seed):

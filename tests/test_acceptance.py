@@ -19,12 +19,13 @@ import conftest
 from dpcl.accountant import MomentState, compose_epsilon, step_log_moment
 from dpcl.cli import budget_curve_table
 from dpcl.data import Dataset, make_synthetic, make_permuted_stream
-from dpcl.dp import NoiseConfig, add_noise
+from dpcl.dp import NoiseConfig
 from dpcl.metrics import average_accuracy, forgetting
 from dpcl.nn import DenseNet, clipped_mean_grad, grad
 from dpcl.trainer import Mode, ProjectionRule, TrainConfig, project_gradient, run_stream
 
 from _oracles import (
+    add_noise,
     finite_difference_grad,
     loss,
     membership_expectation_check,

@@ -89,15 +89,21 @@ BAD_INPUTS = {
                          "--test-labels", "{dir}/lbl2"],
     "test_archive_without_images": ["--test-images", "{dir}/img2", "--test-labels", "{dir}/lbl2"],
     "labels_without_images": ["--labels", "{dir}/lbl2"],
+    "test_labels_past_training_classes": ["--images", "{dir}/img2", "--labels", "{dir}/lbl2",
+                                          "--test-images", "{dir}/img5",
+                                          "--test-labels", "{dir}/lbl5"],
 }
 
 
 @pytest.mark.parametrize("bad", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_run_invalid_config_exit_code(tmp_path, capsys, bad):
-    # {dir} holds a 2x2-pixel archive of 12 images and a 3x3-pixel one of 6
+    # {dir} holds a 2x2-pixel archive of 12 images in 3 classes, one in 5
+    # classes and a 3x3-pixel one of 6 images
     labels = np.arange(12) % 3
     write_idx_archive(tmp_path / "img2", tmp_path / "lbl2",
                       np.full((12, 2, 2), 128), labels)
+    write_idx_archive(tmp_path / "img5", tmp_path / "lbl5",
+                      np.full((12, 2, 2), 128), np.arange(12) % 5)
     write_idx_archive(tmp_path / "img3", tmp_path / "lbl3",
                       np.full((6, 3, 3), 128), labels[:6])
     out = tmp_path / "bad"

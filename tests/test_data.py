@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 from dpcl.data import load_idx_archive, make_permuted_stream, make_synthetic
 from dpcl.errors import ConfigError, ParseError
 
-from _oracles import nearest_centroid_accuracy, write_idx_archive
+from _oracles import (
+    gathered,
+    make_synthetic_reference,
+    nearest_centroid_accuracy,
+    write_idx_archive,
+)
 
 
 def test_loader_hand_built_fixture(tmp_path):
@@ -84,7 +90,7 @@ def test_permutation_round_trip():
     stream = make_permuted_stream(base, 3, seed=2, ref_fraction=0.2)
     _, _, test, perm = stream.tasks[2]
     identity_test = stream.tasks[0][2]
-    assert np.array_equal(test.x[:, np.argsort(perm)], identity_test.x)
+    assert np.array_equal(gathered(test).x[:, np.argsort(perm)], gathered(identity_test).x)
 
 
 @given(seed=st.integers(0, 1000))
@@ -107,8 +113,8 @@ def test_train_ref_disjoint():
     base = make_synthetic(6, 3, 20, 0.6, seed=3)
     stream = make_permuted_stream(base, 2, seed=3, ref_fraction=0.25)
     for train, ref, _, _ in stream.tasks:
-        train_rows = {tuple(row) for row in train.x}
-        ref_rows = {tuple(row) for row in ref.x}
+        train_rows = {tuple(row) for row in gathered(train).x}
+        ref_rows = {tuple(row) for row in gathered(ref).x}
         assert not train_rows & ref_rows
         assert len(ref) == round(0.25 * (len(train) + len(ref)))
 
@@ -124,7 +130,7 @@ def test_stream_rejects_empty_test_split():
     with pytest.raises(ConfigError):  # carved: round(0.02 * 15) == 0
         make_permuted_stream(base, 2, seed=0, test_fraction=0.02)
     with pytest.raises(ConfigError):  # given
-        make_permuted_stream(base, 2, seed=0, test=base.subset([]))
+        make_permuted_stream(base, 2, seed=0, test=gathered(base, []))
 
 
 @pytest.mark.parametrize("test_dim", [4, 9])
@@ -151,6 +157,28 @@ def test_synthetic_deterministic():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
+@pytest.mark.parametrize("d,classes,n_per_class,margin,seed", [
+    (6, 3, 10, 0.6, 9), (10, 4, 50, 0.6, 5), (7, 3, 5, 0.8, 1), (16, 1, 7, 2.0, 3),
+    (5, 5, 1, 12.0, 4), (6, 3, 0, 0.6, 0)])  # 3 classes do not divide 7 features
+def test_synthetic_is_bitwise_the_reference_generator(d, classes, n_per_class, margin, seed):
+    ds = make_synthetic(d, classes, n_per_class, margin, seed)
+    x, y = make_synthetic_reference(d, classes, n_per_class, margin, seed)
+    assert ds.x.shape == x.shape and ds.y.dtype == y.dtype
+    for got, expected in ((ds.x, x), (ds.y, y)):
+        assert hashlib.sha256(got.tobytes()).digest() == hashlib.sha256(expected.tobytes()).digest()
+
+
+def test_synthetic_peak_is_about_twice_its_result():
+    """The examples are drawn into one array; only the shuffle copies it."""
+    tracemalloc.start()
+    try:
+        ds = make_synthetic(784, 10, 300, 0.8, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * (ds.x.nbytes + ds.y.nbytes)
+
+
 def test_synthetic_balanced_labels_in_range():
     ds = make_synthetic(8, 4, 25, 0.6, seed=4)
     counts = np.bincount(ds.y, minlength=4)
@@ -171,20 +199,16 @@ def test_split_gathers_are_c_ordered_permuted_rows(case):
     base, given, stream = view_streams()[case]
     for train, ref, test, perm in stream.tasks:
         for split in (train, ref, test):
-            src = split.src.x if split.rows is None else split.src.x[split.rows]
-            labels = split.src.y if split.rows is None else split.src.y[split.rows]
-            assert split.x.flags.c_contiguous
-            assert np.array_equal(split.x, src[:, perm])
-            assert np.array_equal(split.y, labels)
-            assert split.feature_dim == len(perm) and len(split) == len(labels)
+            rows = np.arange(len(split.src)) if split.rows is None else split.rows
+            assert split.feature_dim == len(perm) and len(split) == len(rows)
             idx = np.array([len(split) - 1, 0, 1, 0])
-            batch = split.subset(idx)
-            assert batch.x.flags.c_contiguous
-            assert np.array_equal(batch.x, src[idx][:, perm])
-            assert np.array_equal(batch.y, labels[idx])
             x_out, y_out = np.full((len(idx), len(perm)), np.nan), np.zeros(len(idx), int)
             split.gather(idx, x_out, y_out)
-            assert np.array_equal(x_out, batch.x) and np.array_equal(y_out, batch.y)
+            assert np.array_equal(x_out, split.src.x[rows][idx][:, perm])
+            assert np.array_equal(y_out, split.src.y[rows][idx])
+            whole = gathered(split)
+            assert np.array_equal(whole.x, split.src.x[rows][:, perm])
+            assert np.array_equal(whole.y, split.src.y[rows])
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["carved_test", "given_test"])
@@ -209,5 +233,5 @@ def test_seventeen_task_stream_copies_no_examples():
 
 def test_empty_subset_of_a_split():
     _, _, stream = view_streams()[0]
-    empty = stream.tasks[1][1].subset([])
+    empty = gathered(stream.tasks[1][1], [])
     assert len(empty) == 0 and empty.x.shape == (0, 12)

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dpcl.data import Dataset
-from dpcl.dp import NoiseConfig, add_noise, noise_rng
+from dpcl.dp import NoiseConfig, noise_rng
 from dpcl.errors import ConfigError, NumericError
 from dpcl.nn import DenseNet, clipped_mean_grad, grad
 
-from _oracles import clip_vector
+from _oracles import add_noise, clip_vector
 
 # Clipping has one implementation, nn.clipped_mean_grad; on a one-example
 # batch it is the per-vector rule g * min(1, beta/||g||).

@@ -7,7 +7,7 @@ from scipy import stats
 from dpcl.data import Dataset
 from dpcl.trainer import sample_block, sample_indices
 
-from _oracles import membership_expectation_check
+from _oracles import gathered, membership_expectation_check
 
 
 def block_data(task_id, size=8, d=3):
@@ -47,7 +47,7 @@ def test_cal_gref_oversized_batch_returns_whole_block(rng):
     assert len(sample_indices(len(block), 50, rng)) == 5
     # each element exactly once: use distinguishable feature rows
     distinct = Dataset(np.arange(5)[:, None] * 1.0, np.zeros(5, dtype=int), 1)
-    batch = distinct.subset(sample_indices(len(distinct), 50, rng))
+    batch = gathered(distinct, sample_indices(len(distinct), 50, rng))
     assert sorted(batch.x[:, 0].tolist()) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpcl.data import Dataset, make_synthetic
+from dpcl.data import Dataset, make_permuted_stream, make_synthetic
 from dpcl.errors import ConfigError, InputError, NumericError
 from dpcl.nn import (
+    _EVAL_ROWS,
     DenseNet,
     _backward,
     _example_sq_norms,
@@ -18,10 +21,12 @@ from _oracles import (
     clip_vector,
     finite_difference_grad,
     forward,
+    gathered,
     initial_params,
     loss,
     per_example_grad_matrix,
     straight_line_forward,
+    whole_accuracy,
 )
 
 
@@ -127,7 +132,7 @@ def test_grad_matches_finite_differences():
 def test_grad_is_mean_over_examples():
     net = DenseNet.create([4, 3, 3], seed=5)
     data = make_synthetic(4, 3, 2, 0.6, seed=9)
-    a, b = data.subset([0, 1, 2]), data.subset([3, 4, 5])
+    a, b = gathered(data, [0, 1, 2]), gathered(data, [3, 4, 5])
     combined = data
     g = grad(net, combined)
     mean_of_parts = (grad(net, a) + grad(net, b)) / 2
@@ -207,7 +212,7 @@ def test_successive_gradients_do_not_share_memory():
 
 def test_per_example_singleton():
     net = DenseNet.create([4, 3, 3], seed=5)
-    data = make_synthetic(4, 3, 1, 0.6, seed=2).subset([0])
+    data = gathered(make_synthetic(4, 3, 1, 0.6, seed=2), [0])
     (only,) = oracle_matrix(net, data)
     assert np.allclose(only, grad(net, data), atol=1e-15)
     big = 2 * np.linalg.norm(only)
@@ -216,7 +221,7 @@ def test_per_example_singleton():
 
 def test_per_example_mean_consistency():
     net = DenseNet.create([4, 3, 3], seed=6)
-    data = make_synthetic(4, 3, 3, 0.6, seed=8).subset(range(8))
+    data = gathered(make_synthetic(4, 3, 3, 0.6, seed=8), range(8))
     stack = oracle_matrix(net, data)
     assert np.abs(stack.mean(axis=0) - grad(net, data)).max() <= 1e-10
 
@@ -224,7 +229,7 @@ def test_per_example_mean_consistency():
 def test_per_example_duplicates_identical():
     net = DenseNet.create([4, 3, 3], seed=6)
     data = make_synthetic(4, 3, 2, 0.6, seed=8)
-    one, dup = data.subset([0]), data.subset([0, 0])
+    one, dup = gathered(data, [0]), gathered(data, [0, 0])
     n0, n1 = fused_norms(net, dup)
     assert n0 == n1
     beta = n0 / 2  # clips the example
@@ -251,7 +256,7 @@ def nets_and_batches(draw):
     y = rng.integers(0, dims[-1], size=pool)
     # indices drawn with replacement, so batches of 1 and duplicated rows occur
     idx = draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=8))
-    return net, Dataset(x, y, dims[-1]).subset(idx)
+    return net, gathered(Dataset(x, y, dims[-1]), idx)
 
 
 @given(case=nets_and_batches(), regime=st.sampled_from(["none", "some", "all"]),
@@ -307,6 +312,65 @@ def test_accuracy_empty_dataset():
     net = DenseNet.create([2, 2], seed=0)
     with pytest.raises(InputError):
         accuracy(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
+
+
+def evaluated_split(kind, n, d=20, classes=4, seed=0):
+    """An n-row test split: carved off a base, a given test set, or a plain Dataset."""
+    rng = np.random.default_rng(seed)
+
+    def examples(rows):
+        return Dataset(rng.random((rows, d)), rng.integers(0, classes, rows), classes)
+
+    if kind == "dataset":
+        return examples(n)
+    if kind == "carved":
+        base = examples(n + 20)
+        return make_permuted_stream(base, 2, seed, test_fraction=n / len(base)).tasks[1][2]
+    return make_permuted_stream(examples(20), 2, seed, test=examples(n)).tasks[1][2]
+
+
+# A chunk is multiplied apart from the rest of the split, and BLAS may take
+# another kernel for it (gemv for one row, small-matrix kernels for a few),
+# so its logits can differ from the one-pass logits by rounding: up to
+# 1.6e-16 seen on logits of size 1 at 784-256-256-10 with OpenBLAS. 1e-12 of
+# the largest logit leaves a wide margin and still catches a wrong row.
+LOGIT_TOL = 1e-12
+
+
+@pytest.mark.parametrize("kind", ["carved", "given", "dataset"])
+@pytest.mark.parametrize("n", [1, 499, 500, 501, 1250])
+def test_chunked_accuracy_is_the_one_pass_accuracy(kind, n, monkeypatch):
+    split = evaluated_split(kind, n)
+    net = DenseNet.create([split.feature_dim, 16, 16, split.num_classes], seed=n)
+    whole = gathered(split)
+    _, logits = net._forward_batch(whole.x)
+    chunks, real = [], DenseNet._forward_batch
+
+    def recorded(self, x):
+        acts, out = real(self, x)
+        chunks.append((x.copy(), out))
+        return acts, out
+
+    monkeypatch.setattr(DenseNet, "_forward_batch", recorded)
+    acc = accuracy(net, split)
+    monkeypatch.undo()
+    assert acc == whole_accuracy(net, split)
+    assert [len(x) for x, _ in chunks] == [min(_EVAL_ROWS, n - s) for s in range(0, n, _EVAL_ROWS)]
+    assert np.array_equal(np.concatenate([x for x, _ in chunks]), whole.x)
+    part = np.concatenate([out for _, out in chunks])
+    assert np.abs(part - logits).max() <= LOGIT_TOL * np.abs(logits).max()
+
+
+def test_accuracy_gathers_one_chunk_at_a_time():
+    split = evaluated_split("given", 4_000, d=784, classes=10)
+    net = DenseNet.create([784, 64, 10], seed=1)
+    tracemalloc.start()
+    try:
+        accuracy(net, split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(split) * split.feature_dim * 8 / 2
 
 
 def test_training_determinism_bitwise():

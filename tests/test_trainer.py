@@ -36,6 +36,8 @@ from dpcl.trainer import (
     train_task,
 )
 
+from _oracles import add_noise, gathered
+
 
 def small_stream(n_tasks=3, d=8, classes=3, per_class=20, seed=0):
     base = make_synthetic(d, classes, per_class, 0.6, seed)
@@ -112,7 +114,7 @@ def agem_reference_params(stream, cfg, dims):
         for step in range(cfg.steps_per_task):
             mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
             if mask.any():
-                g = nn.grad(ref_net, train_split.subset(np.flatnonzero(mask)))
+                g = nn.grad(ref_net, gathered(train_split, np.flatnonzero(mask)))
             else:
                 g = np.zeros(ref_net.num_params)
             if t > 1:
@@ -121,7 +123,7 @@ def agem_reference_params(stream, cfg, dims):
                 k = min(cfg.ref_batch_size, len(block))
                 idx = _rng(cfg.seed, _ROLE_REF_IDX, t, step, block_id).choice(
                     len(block), size=k, replace=False)
-                g_ref = nn.grad(ref_net, block.subset(idx))
+                g_ref = nn.grad(ref_net, gathered(block, idx))
                 denom = g_ref @ g_ref
                 if denom > 0:
                     g = g - (g @ g_ref) / denom * g_ref
@@ -141,20 +143,20 @@ def private_reference_params(stream, cfg, dims):
         blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
         for step in range(cfg.steps_per_task):
             mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
-            g = (nn.clipped_mean_grad(ref_net, train_split.subset(np.flatnonzero(mask)), beta)
+            g = (nn.clipped_mean_grad(ref_net, gathered(train_split, np.flatnonzero(mask)), beta)
                  if mask.any() else np.zeros(ref_net.num_params))
-            g = dp.add_noise(g, cfg.noise, (_ROLE_TRAIN_NOISE, t, step))
+            g = add_noise(g, cfg.noise, (_ROLE_TRAIN_NOISE, t, step))
             if blocks:
                 if cfg.mode is Mode.DP_AGEM:
                     ids = list(range(1, t))
                 else:
                     ids = [1 + _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))]
-                batches = [blocks[i - 1].subset(sample_indices(
+                batches = [gathered(blocks[i - 1], sample_indices(
                     len(blocks[i - 1]), cfg.ref_batch_size, _rng(cfg.seed, _ROLE_REF_IDX, t, step, i)))
                     for i in ids]
                 address = (_ROLE_REF_NOISE, t, step, *ids)
                 if len(batches) == 1:
-                    g_ref = dp.add_noise(nn.clipped_mean_grad(ref_net, batches[0], beta),
+                    g_ref = add_noise(nn.clipped_mean_grad(ref_net, batches[0], beta),
                                          cfg.noise, address)
                 else:
                     joint = Dataset(np.concatenate([b.x for b in batches]),
@@ -162,7 +164,7 @@ def private_reference_params(stream, cfg, dims):
                                     batches[0].num_classes)
                     sizes = [len(b) for b in batches]
                     noise = replace(cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
-                    g_ref = dp.add_noise(nn.clipped_mean_grad(ref_net, joint, beta, sizes),
+                    g_ref = add_noise(nn.clipped_mean_grad(ref_net, joint, beta, sizes),
                                          noise, address)
                 g = project_gradient(g, g_ref, cfg.projection_rule)
             params = params - cfg.learning_rate * g
@@ -282,7 +284,7 @@ def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
 def test_empty_batch_steps_match_reference_loop_bitwise(mode, draw_ahead, monkeypatch):
     """Two training examples at p = 0.25 leave most steps without a batch."""
     stream = small_stream(2)
-    stream = TaskStream([(train.subset([0, 1]), ref, test, perm)
+    stream = TaskStream([(gathered(train, [0, 1]), ref, test, perm)
                          for train, ref, test, perm in stream.tasks])
     cfg = agem_cfg() if mode is Mode.AGEM else private_cfg(mode)
     empty_steps = sum(not (_rng(cfg.seed, _ROLE_BATCH, t, step).random(2) < 0.25).any()
@@ -371,7 +373,7 @@ def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
     stream = small_stream(2)
     train = stream.tasks[1][0]
     if nan_feature:
-        train = train.subset(np.arange(len(train)))
+        train = gathered(train)
         train.x[:, 0] = np.nan
     cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
     net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
@@ -399,7 +401,7 @@ def test_no_draw_outlives_a_run_that_raises_in_task_two(monkeypatch):
     on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
     stream = small_stream(3)
     train, ref, test, perm = stream.tasks[1]
-    train = train.subset(np.arange(len(train)))
+    train = gathered(train)
     train.x[:, 0] = np.nan
     stream = TaskStream([stream.tasks[0], (train, ref, test, perm), stream.tasks[2]])
     seen = captured_buffers(monkeypatch)
@@ -449,7 +451,7 @@ def test_noise_taken_out_of_plan_order_raises(draw_ahead, monkeypatch):
     with trainer._NoiseSource(cfg, [first], np.zeros((3, 16))) as noise:
         record, z = noise.take(1, 0)
         assert record is first
-        assert np.array_equal(z, dp.add_noise(np.zeros(16), cfg.noise, first.releases[0][0]))
+        assert np.array_equal(z, add_noise(np.zeros(16), cfg.noise, first.releases[0][0]))
         noise.give(z)
         with pytest.raises(RuntimeError, match="not the next one planned"):
             noise.take(1, 1)
@@ -491,7 +493,7 @@ def test_step_off_the_plan_adds_no_noise(draw_ahead, monkeypatch):
         train_task(net, train, [], None, cfg, 1)
     assert np.array_equal(net.params, before)
     held = seen[0][0]
-    assert np.array_equal(held, nn.clipped_mean_grad(net, train, cfg.noise.clip_bound))
+    assert np.array_equal(held, nn.clipped_mean_grad(net, gathered(train), cfg.noise.clip_bound))
 
 
 def test_full_width_dp_agem_joint_release_draws_ahead_bitwise(monkeypatch):
@@ -630,9 +632,10 @@ def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatc
 def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     """Charging the plan's records, in order, into a fresh ledger gives the
     run's ledger bitwise, and each reference release gathers exactly the
-    blocks its record names."""
+    blocks its record names; training batches and evaluations also gather,
+    so only the gathers made inside _ref_grad are counted."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
-    records, gathered = [], []
+    records, releases, inside = [], [], []
     real_plan, real_ref_grad, real_gather = trainer._plan, trainer._ref_grad, TaskSplit.gather
 
     def recorded_plan(cfg, tasks):
@@ -641,12 +644,17 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
             yield record
 
     def recorded_ref_grad(net, blocks, record, *args, **kwargs):
-        gathered.append((record, blocks, []))
-        return real_ref_grad(net, blocks, record, *args, **kwargs)
+        releases.append((record, blocks, []))
+        inside.append(True)
+        try:
+            return real_ref_grad(net, blocks, record, *args, **kwargs)
+        finally:
+            inside.pop()
 
     def recorded_gather(self, idx, x_out, y_out):
-        _, blocks, read = gathered[-1]
-        read.append(1 + [block is self for block in blocks].index(True))
+        if inside:
+            _, blocks, read = releases[-1]
+            read.append(1 + [block is self for block in blocks].index(True))
         return real_gather(self, idx, x_out, y_out)
 
     monkeypatch.setattr(trainer, "_plan", recorded_plan)
@@ -656,8 +664,8 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     cfg = private_cfg(mode, epochs_per_task=2)
     result = run_stream(stream, cfg)
     assert len(records) == 4 * cfg.steps_per_task
-    assert [r for r in records if r.block_ids] == [record for record, _, _ in gathered]
-    assert all(read == list(record.block_ids) for record, _, read in gathered)
+    assert [r for r in records if r.block_ids] == [record for record, _, _ in releases]
+    assert all(read == list(record.block_ids) for record, _, read in releases)
     replay = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     for t in range(1, 5):
         replay.register_task(t)
@@ -692,7 +700,7 @@ def test_dp_agem_noiseless_single_block_ref_gradient():
     block = stream.tasks[0][1]
     g_ref, _ = released_ref_grad(net, [block], 2, 0, cfg)
     # huge clip bound + sigma 0 + whole-block batch -> plain block gradient
-    assert np.allclose(g_ref, nn.grad(net, block), atol=1e-12)
+    assert np.allclose(g_ref, nn.grad(net, gathered(block)), atol=1e-12)
 
 
 def released_ref_grad(net, blocks, task_id, step, cfg):
@@ -735,7 +743,7 @@ def test_dp_agem_ref_step_is_one_backward_and_one_draw(n_blocks, monkeypatch):
 
 def three_unequal_blocks():
     stream = small_stream(3, per_class=40, seed=4)
-    return [ref.subset(np.arange(n)) for (_, ref, _, _), n in zip(stream.tasks, (7, 11, 15))]
+    return [gathered(ref, np.arange(n)) for (_, ref, _, _), n in zip(stream.tasks, (7, 11, 15))]
 
 
 def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
@@ -744,7 +752,7 @@ def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
                       hidden_dims=(8,), ref_batch_size=9, seed=4)
     net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
     expected = np.mean([
-        nn.clipped_mean_grad(net, block.subset(sample_indices(
+        nn.clipped_mean_grad(net, gathered(block, sample_indices(
             len(block), cfg.ref_batch_size, _rng(cfg.seed, _ROLE_REF_IDX, 4, 0, block_id))),
             cfg.noise.clip_bound)
         for block_id, block in enumerate(blocks, start=1)], axis=0)
@@ -807,7 +815,7 @@ def test_clipped_gradients_respect_bound_pre_noise():
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
     plan = trainer._plan(cfg, [(1, [])])
     with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
-        g, _, _ = _batch_grad(net, stream.tasks[0][0], cfg, noise, 1, 0)
+        g, _, _ = _batch_grad(net, gathered(stream.tasks[0][0]), cfg, noise, 1, 0)
     assert np.linalg.norm(g) <= 0.05 + 1e-12
 
 
@@ -824,8 +832,8 @@ def test_ref_grad_sensitivity_is_two_beta_over_k(mode, seed):
     cfg = TrainConfig(mode=mode, noise=NoiseConfig(sigma=0.0, clip_bound=beta),
                       hidden_dims=(8,), ref_batch_size=k, seed=seed)
     net = nn.DenseNet.create([block.feature_dim, 8, 3], seed=seed)
-    neighbour = block.subset(np.arange(k))
-    neighbour.x[0], neighbour.y[0] = spare.x[0], spare.y[0]
+    neighbour, swapped = gathered(block), gathered(spare, [0])
+    neighbour.x[0], neighbour.y[0] = swapped.x[0], swapped.y[0]
     g, _ = released_ref_grad(net, [block], 2, 0, cfg)
     g_nb, _ = released_ref_grad(net, [neighbour], 2, 0, cfg)
     assert np.linalg.norm(g - g_nb) <= 2 * beta / k + 1e-12
@@ -835,7 +843,7 @@ def test_ref_grad_sensitivity_is_two_beta_over_k(mode, seed):
 def test_empty_reference_split_rejected_before_training(mode, monkeypatch):
     stream = small_stream(2)
     train, ref, test, perm = stream.tasks[1]
-    stream = TaskStream([stream.tasks[0], (train, ref.subset([]), test, perm)])
+    stream = TaskStream([stream.tasks[0], (train, gathered(ref, []), test, perm)])
     monkeypatch.setattr(nn.DenseNet, "create", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(ConfigError, match="reference split"):
         run_stream(stream, agem_cfg(mode=mode, noise=NoiseConfig(sigma=1.0)))
@@ -858,7 +866,7 @@ def test_curve_averages_the_per_task_traces():
 
 def materialized(stream):
     """The stream with every split copied into a plain Dataset."""
-    return TaskStream([tuple(Dataset(s.x, s.y, s.num_classes) for s in splits) + (perm,)
+    return TaskStream([tuple(gathered(s) for s in splits) + (perm,)
                        for *splits, perm in stream.tasks])
 
 
