@@ -62,8 +62,9 @@ def main():
 
     acc = average_accuracy(result.matrix, args.tasks)
     f_mean, f_worst = forgetting(result.matrix, args.tasks)
+    beta = min(cfg.lca_beta, len(result.curve) - 1)  # tasks of fewer steps have shorter curves
     print(f"{args.mode}: avg_acc={acc:.3f} forgetting={f_mean:.3f} "
-          f"worst={f_worst:.3f} lca={lca(result.curve, 10):.3f}")
+          f"worst={f_worst:.3f} lca={lca(result.curve, beta):.3f}")
 
     os.makedirs(args.out, exist_ok=True)
     result.matrix.write_csv(os.path.join(args.out, f"{args.mode}_accuracy_matrix.csv"))

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ConfigError, InputError, StateError
 
 DEFAULT_LAMBDA_MAX = 64
+MAX_LAMBDA = 1024  # step_log_moment's term arrays take about 39 * lambda_max^2 bytes
 
 
 class Policy(Enum):
@@ -94,7 +95,9 @@ def step_log_moment(q, sigma, lam):
         i = np.arange(m.max() + 1)
         log_fact = np.array([_log_gamma(k) for k in range(1, len(i) + 1)])
         log_binom = log_fact[m] - log_fact[i] - log_fact[np.maximum(m - i, 0)]
-        terms = log_binom + i * np.log(q) + (m - i) * np.log1p(-q) + (i * i - i) / (2.0 * sigma * sigma)
+        # i = 0, 1 add 0, not 0 / 0 once 2 sigma^2 underflows (the moment is then +inf)
+        quad = np.divide(i * i - i, 2.0 * sigma * sigma, out=np.zeros(len(i)), where=i > 1)
+        terms = log_binom + i * np.log(q) + (m - i) * np.log1p(-q) + quad
         alpha = _logsumexp_rows(np.where(i <= m, terms, -np.inf))
     return float(alpha[0]) if lams.ndim == 0 else alpha
 
@@ -164,9 +167,10 @@ def _check_budgets(budgets, t):
 
 
 def budget_lemma1(budgets, t) -> BudgetReport:
-    """Naive composition: eps_i(T) = eps_i + (T - i) * eps'_i."""
+    """Naive composition: eps_i(T) = eps_i + (T - i) * eps'_i (task T adds 0, not 0 * inf)."""
     _check_budgets(budgets, t)
-    per_task = [b.eps_train + (t - b.task_id) * b.eps_ref for b in budgets[:t]]
+    per_task = [b.eps_train + ((t - b.task_id) * b.eps_ref if b.task_id < t else 0.0)
+                for b in budgets[:t]]
     return BudgetReport(per_task, float(sum(per_task)))
 
 

@@ -70,15 +70,6 @@ class DenseNet:
     def num_params(self):
         return self._params.size
 
-    def get_params(self):
-        return self._params.copy()
-
-    def set_params(self, flat):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self._params.shape:
-            raise InputError(f"expected {self.num_params} parameters, got {flat.shape}")
-        self._params[...] = flat
-
     def _forward_batch(self, x):
         """Return (activations, logits); activations[l] feeds layer l."""
         acts = [x]

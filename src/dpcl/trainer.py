@@ -16,9 +16,12 @@ in place; called without out=, nn.grad, nn.clipped_mean_grad and
 project_gradient return new arrays.
 
 What a step reads, draws and charges is decided once, by _plan, in one
-_Step record per step. One _NoiseSource per run draws the records' noise in
-order into the step buffers and hands each step its record. A private net
-with at least 2**16 parameters draws on a helper thread, which run_stream
+_Step record per step: the rows of each block its reference release reads,
+each release's noise address and each q charged. Both releases of a step go
+through _release, the training batch as its one-pick case. One _NoiseSource
+per run walks the plan, draws the records' noise in order into the step
+buffers and hands each step its record. A private net with at least 2**16
+parameters walks the plan on a helper thread, which run_stream
 starts after making the net and joins before it returns or raises: the next
 step's draws run while this thread projects, updates, evaluates and computes
 the clipped means, and numpy draws without holding the interpreter lock, so
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .accountant import DEFAULT_LAMBDA_MAX, Policy, PrivacyLedger
+from .accountant import DEFAULT_LAMBDA_MAX, MAX_LAMBDA, Policy, PrivacyLedger
 from .data import Dataset, TaskStream
 from .dp import NoiseConfig, draw_noise
 from .errors import ConfigError
@@ -94,8 +97,8 @@ class TrainConfig:
             raise ConfigError("ref_batch_size and epochs_per_task must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must be in (0, 1)")
-        if self.lambda_max < 1:
-            raise ConfigError("lambda_max must be >= 1")
+        if not 1 <= self.lambda_max <= MAX_LAMBDA:
+            raise ConfigError(f"lambda_max must be in 1..{MAX_LAMBDA}")
         if self.lca_beta < 0 or self.seed < 0:
             raise ConfigError("lca_beta and seed must be >= 0")
         if any(h < 1 for h in self.hidden_dims):
@@ -130,21 +133,12 @@ def project_gradient(g, g_ref, rule: ProjectionRule, *, out=None) -> np.ndarray:
     return out
 
 
-def sample_block(n_blocks, rng: np.random.Generator) -> int:
-    """The index of one of n_blocks stored blocks, chosen uniformly."""
-    return rng.integers(n_blocks)
-
-
-def sample_indices(n, k, rng: np.random.Generator) -> np.ndarray:
-    """min(k, n) of the indices 0..n-1, drawn without replacement."""
-    return rng.choice(n, size=min(k, n), replace=False)
-
-
 class _Step(NamedTuple):
     """What one step reads, draws and charges."""
     task_id: int
     step: int
     block_ids: tuple  # the blocks its reference release reads; block i is task i's ref split
+    ref_rows: tuple   # the rows it reads of each, min(k, |block|) drawn without replacement
     releases: tuple   # (noise address, blocks B it averages) per release, training first
     q_train: float    # the q charged for the training release
     q_blocks: tuple   # the q charged for each block read
@@ -153,8 +147,9 @@ class _Step(NamedTuple):
 def _plan(cfg: TrainConfig, tasks):
     """The _Step records of tasks, (task_id, sizes of its stored blocks)
     pairs, in step order. A reference release reads one uniformly chosen
-    block (agem, dp_cl) or every block (dp_agem), each charged at
-    share * min(k, |block|) / |block|."""
+    block (agem, dp_cl) or every block (dp_agem), min(k, |block|) rows of
+    each, each block charged at share * min(k, |block|) / |block|. The block
+    choice and the rows are drawn here and nowhere else."""
     k, dp_agem = cfg.ref_batch_size, cfg.mode is Mode.DP_AGEM
     for task_id, sizes in tasks:
         share = 1.0 if dp_agem or not sizes else 1.0 / len(sizes)
@@ -162,12 +157,14 @@ def _plan(cfg: TrainConfig, tasks):
             if dp_agem or not sizes:  # every block, or none before task 2
                 ids = tuple(range(1, len(sizes) + 1))
             else:
-                ids = (1 + sample_block(len(sizes), _rng(cfg.seed, _ROLE_BLOCK, task_id, step)),)
+                ids = (1 + _rng(cfg.seed, _ROLE_BLOCK, task_id, step).integers(len(sizes)),)
+            rows = tuple(_rng(cfg.seed, _ROLE_REF_IDX, task_id, step, i).choice(
+                sizes[i - 1], size=min(k, sizes[i - 1]), replace=False) for i in ids)
             releases = (((_ROLE_TRAIN_NOISE, task_id, step), 1),)
             if ids:
                 releases += (((_ROLE_REF_NOISE, task_id, step, *ids), len(ids)),)
-            yield _Step(task_id, step, ids, releases, cfg.sampling_rate,
-                        tuple(share * (min(k, sizes[i - 1]) / sizes[i - 1]) for i in ids))
+            yield _Step(task_id, step, ids, rows, releases, cfg.sampling_rate,
+                        tuple(share * (len(r) / sizes[i - 1]) for i, r in zip(ids, rows)))
 
 
 class _NoiseSource:
@@ -226,70 +223,44 @@ class _NoiseSource:
         self._free.put(z)
 
 
-def _batch_grad(net, batch, cfg: TrainConfig, noise, task_id, step, sizes=None, *, out=None):
-    """The gradient one step releases for a batch (None: no example, a zero
-    gradient): the plain mean for agem; otherwise the mean of the per-example
-    clipped gradients, or with sizes (B private groups) of the groups'
-    clipped means, plus the noise noise.take hands out for this step. Written
-    into out (a new array when None); returns it, the step's record and the
-    noise buffer, which the caller gives back."""
-    if batch is None:
+def _release(net, picks, cfg: TrainConfig, noise, task_id, step, *, out):
+    """One release of this step: the rows idx of each (split, idx) pick,
+    gathered in turn into one batch, give the plain mean gradient (agem) or
+    the mean of the picks' clipped means plus the noise noise.take hands out;
+    picks without rows give a zero gradient. Written into out; returns it,
+    the step's record and the noise buffer, which the caller gives back."""
+    n = sum(len(idx) for _, idx in picks)
+    if n == 0:
         g = out
         g.fill(0.0)
-    elif cfg.mode is Mode.AGEM:
-        g = nn.grad(net, batch, out=out)
     else:
-        g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=out)
+        x, y, end = np.empty((n, picks[0][0].feature_dim)), np.empty(n, dtype=np.int64), 0
+        for split, idx in picks:
+            split.gather(idx, x[end:end + len(idx)], y[end:end + len(idx)])
+            end += len(idx)
+        batch = Dataset(x, y, picks[0][0].num_classes)  # not held past the release
+        if cfg.mode is Mode.AGEM:
+            g = nn.grad(net, batch, out=out)
+        else:
+            sizes = [len(idx) for _, idx in picks] if len(picks) > 1 else None
+            g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=out)
     record, z = noise.take(task_id, step)
     if cfg.mode is not Mode.AGEM:
         g += z  # bitwise z + g
     return g, record, z
 
 
-def _gather(picks):
-    """One new batch of the rows idx of each (split, idx) pick, in turn."""
-    first = picks[0][0]
-    x = np.empty((sum(len(idx) for _, idx in picks), first.feature_dim))
-    y = np.empty(len(x), dtype=np.int64)
-    end = 0
-    for split, idx in picks:
-        split.gather(idx, x[end:end + len(idx)], y[end:end + len(idx)])
-        end += len(idx)
-    return Dataset(x, y, first.num_classes)
-
-
-def _ref_grad(net, blocks, record: _Step, cfg: TrainConfig, noise, *, out=None):
-    """Mean reference gradient over the stored blocks record reads; blocks[i]
-    is the reference split of task i + 1. Their batches, gathered into one
-    joint batch, are one _batch_grad release (into out, with its noise from
-    noise); for one block that is the block's own batch and draw."""
-    task_id, step = record.task_id, record.step
-    picks = [(blocks[i - 1], sample_indices(len(blocks[i - 1]), cfg.ref_batch_size,
-                                            _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, i)))
-             for i in record.block_ids]
-    sizes = [len(idx) for _, idx in picks]
-    g, _, z = _batch_grad(net, _gather(picks), cfg, noise, task_id, step,
-                          sizes if len(sizes) > 1 else None, out=out)
-    noise.give(z)
-    return g
-
-
-def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_callback=None,
-               noise=None):
+def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, noise,
+               step_callback=None):
     """Train net on one task; when blocks (the stored reference splits of
-    tasks 1..task_id-1) is not empty, every update is projected against
-    their reference gradient; a step reads the blocks and charges ledger the
-    qs of the record its training release brings. noise, the run's
-    _NoiseSource (one for this task when None), holds the three step
-    buffers, which rotate: the held one takes the training clipped mean and
-    its noise; that noise's buffer takes the reference mean and its noise,
-    whose buffer goes back; the projection is written into the reference
-    buffer, and the buffer the update is not in goes back. No step reads an
-    entry it has not written."""
-    if noise is None:
-        plan = _plan(cfg, [(task_id, [len(block) for block in blocks])])
-        with _NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
-            return train_task(net, train_data, blocks, ledger, cfg, task_id, step_callback, noise)
+    tasks 1..task_id-1) is not empty, every update is projected against the
+    reference gradient of the rows of them that the step's record names, and
+    the step charges ledger the record's qs. noise, the run's _NoiseSource,
+    holds the three step buffers, which rotate: the held one takes the
+    training clipped mean and its noise; that noise's buffer takes the
+    reference mean and its noise, whose buffer goes back; the projection is
+    written into the reference buffer, and the buffer the update is not in
+    goes back. No step reads an entry it has not written."""
     n = len(train_data)
     params = net.params
     g = noise.held
@@ -297,15 +268,16 @@ def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, step_
         if step_callback is not None:
             step_callback(step, net)
         mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < cfg.sampling_rate
-        idx = np.flatnonzero(mask)  # the batch itself is not held past its release
-        g, record, spare = _batch_grad(net, _gather([(train_data, idx)]) if len(idx) else None,
-                                       cfg, noise, task_id, step, out=g)
+        g, record, spare = _release(net, [(train_data, np.flatnonzero(mask))], cfg, noise,
+                                    task_id, step, out=g)
         if ledger is not None:
             ledger.track_training_step(record.task_id, record.q_train)
             for block_id, q in zip(record.block_ids, record.q_blocks):
                 ledger.track_ref_step(record.task_id, block_id, q)
         if record.block_ids:
-            g_ref = _ref_grad(net, blocks, record, cfg, noise, out=spare)
+            picks = [(blocks[i - 1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
+            g_ref, _, z = _release(net, picks, cfg, noise, task_id, step, out=spare)
+            noise.give(z)
             update = project_gradient(g, g_ref, cfg.projection_rule, out=g_ref)
             g, spare = update, (g if update is g_ref else g_ref)
         noise.give(spare)
@@ -358,7 +330,7 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
 
             blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
             net = train_task(net, train_split, blocks, ledger if track_privacy else None,
-                             cfg, t, step_callback=record, noise=noise)
+                             cfg, t, noise, step_callback=record)
             traces.append(trace)
             for j in range(1, t):
                 matrix.set(t, j, nn.accuracy(net, stream.tasks[j - 1][2]))

@@ -6,8 +6,8 @@ instead of vectorized backprop, an explicit (n x num_params) per-example
 gradient matrix clipped row by row instead of the ghost-norm clipped mean,
 direct formula evaluation for the budgets, one closed-form moment order at
 a time instead of the accountant's single array pass. The exceptions are
-membership_expectation_check, which drives the real sampler so that the
-gate covers the draws the trainer makes; forward, loss and whole_accuracy,
+plan_reads and membership_expectation_check, which read the trainer's own
+plan records so that the gate covers the draws the trainer makes; forward, loss and whole_accuracy,
 which read the net's own batch forward pass so that finite differences of
 loss test the backprop of exactly that function and the chunked accuracy is
 checked against one pass over the whole split; add_noise, which draws the
@@ -17,6 +17,7 @@ of the archive loader, used to build fixtures; make_synthetic_reference is
 the synthetic generator as first written, three arrays at once.
 """
 
+import functools
 import struct
 
 import numpy as np
@@ -27,7 +28,7 @@ from dpcl.data import IMAGE_MAGIC, LABEL_MAGIC, Dataset
 from dpcl.dp import NoiseConfig, draw_noise
 from dpcl.errors import InputError, NumericError, StateError
 from dpcl.nn import _check_batch, log_softmax
-from dpcl.trainer import sample_block, sample_indices
+from dpcl.trainer import Mode, TrainConfig, _plan
 
 
 def quad_log_moment(q, sigma, lam):
@@ -217,8 +218,29 @@ def per_example_grad_matrix(weights, biases, x, y):
     return np.concatenate(slabs, axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def plan_reads(n_blocks, block_size, k, steps, seed):
+    """How often the plan records of `steps` dp_cl steps of task n_blocks + 1,
+    after n_blocks stored blocks of block_size rows, choose each block and
+    read each of its rows: (n_blocks,) and (n_blocks, block_size) read-only
+    counts. Cached, because one walk serves several tests."""
+    cfg = TrainConfig(mode=Mode.DP_CL, sampling_rate=1.0, epochs_per_task=steps,
+                      ref_batch_size=k, seed=seed)
+    ids, cells = [], []  # cell (block_id - 1) * block_size + row of every row read
+    for record in _plan(cfg, [(n_blocks + 1, [block_size] * n_blocks)]):
+        for block_id, rows in zip(record.block_ids, record.ref_rows):
+            ids.append(block_id - 1)
+            cells.append((block_id - 1) * block_size + rows)
+    chosen = np.bincount(ids, minlength=n_blocks)
+    read = np.bincount(np.concatenate(cells), minlength=n_blocks * block_size)
+    read = read.reshape(n_blocks, block_size)
+    chosen.flags.writeable = read.flags.writeable = False
+    return chosen, read
+
+
 def membership_expectation_check(blocks, q, trials, seed=0) -> dict:
-    """Monte-Carlo per-example selection frequencies under the real sampler.
+    """Monte-Carlo per-example selection frequencies under the trainer's
+    plan (plan_reads of trials steps), keyed by (block id, row).
 
     blocks[i] is the stored block of task i + 1, and all blocks are the same
     size; q = ref_batch_size / block size. Each example's frequency should
@@ -229,15 +251,10 @@ def membership_expectation_check(blocks, q, trials, seed=0) -> dict:
         raise StateError("blocks must be equal size for the expectation check")
     block_size = sizes.pop()
     ref_batch_size = int(round(q * block_size))
-    counts = {(i + 1, j): 0 for i in range(len(blocks)) for j in range(block_size)}
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(301,)))
     if ref_batch_size == 0:
-        return {key: 0.0 for key in counts}
-    for _ in range(trials):
-        i = sample_block(len(blocks), rng)
-        for j in sample_indices(block_size, ref_batch_size, rng):
-            counts[(int(i) + 1, int(j))] += 1
-    return {key: c / trials for key, c in counts.items()}
+        return {(i + 1, j): 0.0 for i in range(len(blocks)) for j in range(block_size)}
+    _, read = plan_reads(len(blocks), block_size, ref_batch_size, trials, seed)
+    return {(i + 1, j): c / trials for (i, j), c in np.ndenumerate(read)}
 
 
 def write_idx_archive(images_path, labels_path, pixels, labels):

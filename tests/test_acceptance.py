@@ -89,7 +89,7 @@ def test_gradient_exactness():
 
     for _ in range(20):
         point = rng.uniform(-0.5, 0.5, net.num_params)
-        net.set_params(point)
+        net.params[...] = point
         g = grad(net, batch)
         fd = finite_difference_grad(loss_at, point, step=1e-5)
         rel = np.abs(fd - g) / np.maximum(np.abs(g), 1e-8)

@@ -334,3 +334,23 @@ def test_logsumexp_rows_sums_every_tied_maximum():
     assert np.array_equal(got, logsumexp(rows, axis=1))
     assert got[1] == pytest.approx(np.log(3.0 + np.exp(-3.0) + np.exp(-2.0)), rel=1e-15)
     assert got[3] == 40.0
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("q", [0.01, 0.5, 1.0])
+def test_sigma_whose_square_underflows_gives_infinite_epsilon(q):
+    """Below about 1.6e-162, 2 sigma^2 underflows to 0. The i = 0 and 1
+    terms then add 0, not 0 / 0 = NaN, so every moment and epsilon is +inf."""
+    sigma = 1e-200
+    assert 2.0 * sigma * sigma == 0.0
+    assert np.all(np.isposinf(step_log_moment(q, sigma, np.arange(1, 65))))
+    ledger = PrivacyLedger(sigma=sigma, lambda_max=16)
+    ledger.register_task(1)
+    ledger.register_task(2)
+    ledger.track_training_step(1, q)
+    ledger.track_ref_step(2, 1, q)
+    (first, second) = ledger.task_budgets(1e-5)
+    assert first.eps_train == second.eps_ref == np.inf
+    for policy in Policy:
+        report = ledger.report(1e-5, policy)
+        assert report.total == np.inf and not np.isnan(report.per_task).any()

@@ -69,6 +69,7 @@ BAD_INPUTS = {
     "no_classes": ["--synth-classes", "0"],
     "zero_hidden_width": ["--hidden", "0"],
     "lambda_max_0": ["--lambda-max", "0"],
+    "lambda_max_1025": ["--lambda-max", "1025"],  # above MAX_LAMBDA; never run one that allocates
     "delta_2": ["--delta", "2"],
     "negative_lca_beta": ["--lca-beta", "-1"],
     "negative_seed": ["--seed", "-1"],
@@ -217,6 +218,16 @@ def test_run_budget_report_matches_lemma2_composition(tmp_path):
     assert [float(r["eps_task_at_T"]) for r in rows] == pytest.approx(expected.per_task)
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_run_at_a_sigma_whose_square_underflows_reports_infinite_epsilon(tmp_path):
+    out = tmp_path / "tiny_sigma"
+    assert cmd_run(quick_spec(out, mode="dp_cl", sigma=1e-200)) == EXIT_OK
+    with open(out / "budget_report.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(row["total"] == "inf" for row in rows)
+    assert all(row[k] != "nan" for row in rows for k in row)
+
+
 @pytest.mark.parametrize("mode", ["agem", "dp_cl"])
 def test_run_writes_the_hash_of_the_trained_params(tmp_path, monkeypatch, mode):
     calls = []  # the (stream, config) that cmd_run trains on
@@ -226,7 +237,7 @@ def test_run_writes_the_hash_of_the_trained_params(tmp_path, monkeypatch, mode):
     assert cmd_run(quick_spec(out, mode=mode, sigma=0.0 if mode == "agem" else 1.0)) == EXIT_OK
     with open(out / "metrics.csv") as f:
         rows = dict(csv.reader(f))
-    expected = hashlib.sha256(real(*calls[0]).net.get_params().tobytes()).hexdigest()
+    expected = hashlib.sha256(real(*calls[0]).net.params.tobytes()).hexdigest()
     assert rows["final_params_sha256"] == expected
 
 

@@ -19,7 +19,7 @@ def hand_net():
     """[1, 2] net with zero parameters: on x = 1, y = 0 the softmax is
     (1/2, 1/2), so the gradient (W then b) is (-1/2, 1/2, -1/2, 1/2), norm 1."""
     net = DenseNet.create([1, 2], seed=0)
-    net.set_params(np.zeros(net.num_params))
+    net.params[...] = 0.0
     return net, Dataset(np.ones((1, 1)), np.zeros(1, dtype=int), 2)
 
 

@@ -72,6 +72,28 @@ def test_script_explicit_seed_is_used(name, tmp_path, monkeypatch, capsys):
     assert "unrecorded" not in capsys.readouterr().out
 
 
+def test_full_scale_script_runs_to_its_artifacts(tmp_path, monkeypatch, capsys):
+    """The whole script on tiny archives: a two-task dp_cl run writes the
+    accuracy matrix and one budget report per policy, and prints both totals."""
+    args = tiny_archives(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_full_scale", *args, "--tasks", "2", "--seed", "0",
+                                      "--out", str(out)])
+    assert load_script("run_full_scale").main() == 0
+    stdout = capsys.readouterr().out
+    with open(out / "dp_cl_accuracy_matrix.csv") as f:
+        assert len(f.read().splitlines()) == 3  # a header and one row per task
+    for policy in ("lemma1", "lemma2"):
+        with open(out / f"dp_cl_budget_{policy}.csv") as f:
+            header, *rows = f.read().splitlines()
+        assert header == "task_id,eps_train,eps_ref,eps_task_at_T,total"
+        assert [row.split(",")[0] for row in rows] == ["1", "2"]
+        total = float(rows[0].split(",")[-1])
+        assert 0 < total < float("inf")
+        (line,) = [l for l in stdout.splitlines() if l.startswith(f"total epsilon ({policy}")]
+        assert line == f"total epsilon ({policy}, delta=1e-4): {total:.3f}"
+
+
 def failed_run(name, args, monkeypatch, capsys):
     """Exit code and error lines of a script run that must stop before training."""
     module = load_script(name)

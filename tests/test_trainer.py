@@ -28,11 +28,9 @@ from dpcl.trainer import (
     _ROLE_REF_IDX,
     _ROLE_REF_NOISE,
     _ROLE_TRAIN_NOISE,
-    _batch_grad,
-    _ref_grad,
+    _release,
     project_gradient,
     run_stream,
-    sample_indices,
     train_task,
 )
 
@@ -96,19 +94,32 @@ def test_projection_orthogonality_property(seed, dim):
     assert conflict_out @ g_ref >= -1e-9 * np.linalg.norm(g) * np.linalg.norm(g_ref)
 
 
+def train_alone(net, train_split, blocks, cfg, task_id, **kw):
+    """train_task on one task without a ledger, with a noise source of its own."""
+    plan = trainer._plan(cfg, [(task_id, [len(block) for block in blocks])])
+    with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
+        return train_task(net, train_split, blocks, None, cfg, task_id, noise, **kw)
+
+
 def train_package(stream, cfg, dims):
-    """Final parameters of train_task run through the stream without a ledger."""
+    """Final parameters of train_task run through the stream task by task."""
     net = nn.DenseNet.create(dims, seed=cfg.seed)
     for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
-        net = train_task(net, train_split, [ref for _, ref, _, _ in stream.tasks[:t - 1]],
-                         None, cfg, t)
-    return net.get_params()
+        net = train_alone(net, train_split, [ref for _, ref, _, _ in stream.tasks[:t - 1]], cfg, t)
+    return net.params.copy()
+
+
+def ref_rows(cfg, task_id, step, block_id, size):
+    """The rows of a stored block that a reference release reads, drawn
+    from their own addressed stream."""
+    return _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block_id).choice(
+        size, size=min(cfg.ref_batch_size, size), replace=False)
 
 
 def agem_reference_params(stream, cfg, dims):
     """Straight-line reimplementation of the noiseless update loop."""
     ref_net = nn.DenseNet.create(dims, seed=cfg.seed)
-    params = ref_net.get_params()
+    params = ref_net.params.copy()
     blocks = []
     for t, (train_split, ref_split, _, _) in enumerate(stream.tasks, start=1):
         for step in range(cfg.steps_per_task):
@@ -120,15 +131,13 @@ def agem_reference_params(stream, cfg, dims):
             if t > 1:
                 choice = _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))
                 block_id, block = blocks[choice]
-                k = min(cfg.ref_batch_size, len(block))
-                idx = _rng(cfg.seed, _ROLE_REF_IDX, t, step, block_id).choice(
-                    len(block), size=k, replace=False)
-                g_ref = nn.grad(ref_net, gathered(block, idx))
+                g_ref = nn.grad(ref_net, gathered(block, ref_rows(cfg, t, step, block_id,
+                                                                  len(block))))
                 denom = g_ref @ g_ref
                 if denom > 0:
                     g = g - (g @ g_ref) / denom * g_ref
             params = params - cfg.learning_rate * g
-            ref_net.set_params(params)
+            ref_net.params[...] = params
         blocks.append((t, ref_split))
     return params
 
@@ -138,7 +147,7 @@ def private_reference_params(stream, cfg, dims):
     from task 3 on, dp_agem reads several stored blocks in one release."""
     beta = cfg.noise.clip_bound
     ref_net = nn.DenseNet.create(dims, seed=cfg.seed)
-    params = ref_net.get_params()
+    params = ref_net.params.copy()
     for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
         blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
         for step in range(cfg.steps_per_task):
@@ -151,9 +160,8 @@ def private_reference_params(stream, cfg, dims):
                     ids = list(range(1, t))
                 else:
                     ids = [1 + _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))]
-                batches = [gathered(blocks[i - 1], sample_indices(
-                    len(blocks[i - 1]), cfg.ref_batch_size, _rng(cfg.seed, _ROLE_REF_IDX, t, step, i)))
-                    for i in ids]
+                batches = [gathered(blocks[i - 1], ref_rows(cfg, t, step, i, len(blocks[i - 1])))
+                           for i in ids]
                 address = (_ROLE_REF_NOISE, t, step, *ids)
                 if len(batches) == 1:
                     g_ref = add_noise(nn.clipped_mean_grad(ref_net, batches[0], beta),
@@ -168,7 +176,7 @@ def private_reference_params(stream, cfg, dims):
                                          noise, address)
                 g = project_gradient(g, g_ref, cfg.projection_rule)
             params = params - cfg.learning_rate * g
-            ref_net.set_params(params)
+            ref_net.params[...] = params
     return params
 
 
@@ -232,7 +240,7 @@ def test_private_modes_drawing_ahead_match_reference_loop_bitwise(mode, monkeypa
     on_main = record_draw_threads(monkeypatch)
     ahead = run_stream(stream, cfg)
     assert on_main and not any(on_main)
-    assert np.array_equal(ahead.net.get_params(), inline.net.get_params())
+    assert np.array_equal(ahead.net.params, inline.net.params)
     assert ahead.report.total == inline.report.total
     assert np.array_equal(train_package(stream, cfg, dims),
                           private_reference_params(stream, cfg, dims))
@@ -249,16 +257,16 @@ def test_full_width_private_run_draws_ahead_bitwise(monkeypatch):
     ahead = run_stream(stream, cfg)
     assert ahead.net.num_params >= trainer._DRAW_AHEAD_MIN_PARAMS
     assert on_main and not any(on_main)
-    assert np.array_equal(ahead.net.get_params(), private_reference_params(stream, cfg, dims))
+    assert np.array_equal(ahead.net.params, private_reference_params(stream, cfg, dims))
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", ahead.net.num_params + 1)
     inline = run_stream(stream, cfg)
-    assert np.array_equal(ahead.net.get_params(), inline.net.get_params())
+    assert np.array_equal(ahead.net.params, inline.net.params)
     assert ahead.report.total == inline.report.total
 
 
 def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
     """Six runs at once, each with its own helper thread (one per task for
-    train_task alone, one for the whole run for run_stream), on a short
+    one task's source, one for the whole run for run_stream), on a short
     switch interval: a draw read before it is complete, or a buffer handed
     back while still in use, would change the parameters."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
@@ -303,14 +311,13 @@ def check_no_buffer_read_before_write(mode):
     cfg = agem_cfg(mode=mode, noise=NoiseConfig(sigma=sigma, clip_bound=0.5, seed=4))
     blocks = [ref for _, ref, _, _ in stream.tasks[:2]]
     d = stream.tasks[0][0].feature_dim
-    fresh = train_task(nn.DenseNet.create([d, 8, 3], seed=1), stream.tasks[2][0], blocks,
-                       None, cfg, 3)
+    fresh = train_alone(nn.DenseNet.create([d, 8, 3], seed=1), stream.tasks[2][0], blocks, cfg, 3)
     poisoned = nn.DenseNet.create([d, 8, 3], seed=1)
     buffers = np.full((3, poisoned.num_params), np.nan)
     plan = trainer._plan(cfg, [(3, [len(block) for block in blocks])])
     with trainer._NoiseSource(cfg, plan, buffers) as noise:
-        train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, noise=noise)
-    assert np.array_equal(poisoned.get_params(), fresh.get_params())
+        train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, noise)
+    assert np.array_equal(poisoned.params, fresh.params)
     assert np.all(np.isfinite(buffers))  # every buffer was written by the steps
 
 
@@ -318,18 +325,34 @@ def test_train_task_updates_params_in_place():
     stream = small_stream(2)
     cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
     net = nn.DenseNet.create([stream.tasks[0][0].feature_dim, 8, 3], seed=1)
-    store, before = net.params, net.get_params()
-    assert train_task(net, stream.tasks[1][0], [stream.tasks[0][1]], None, cfg, 2) is net
+    store, before = net.params, net.params.copy()
+    assert train_alone(net, stream.tasks[1][0], [stream.tasks[0][1]], cfg, 2) is net
     assert net.params is store and not np.array_equal(store, before)
 
 
+def traced_peak_in_param_vectors(stream, cfg):
+    train = stream.tasks[0][0]
+    dims = [train.feature_dim, *cfg.hidden_dims, train.num_classes]
+    vector_bytes = nn.DenseNet.create(dims).params.nbytes
+    tracemalloc.start()
+    try:
+        run_stream(stream, cfg)
+        return tracemalloc.get_traced_memory()[1] / vector_bytes
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("mode", list(Mode))
-def test_run_stream_neither_copies_params_out_nor_in(mode, monkeypatch):
-    for name in ("get_params", "set_params"):
-        monkeypatch.setattr(nn.DenseNet, name, lambda *a, _n=name: pytest.fail(_n))
+def test_run_stream_neither_copies_params_out_nor_in(mode):
+    """The parameters dominate a 64-2000-3 net's memory. A run holds them and
+    the three step buffers, plus small activations, so the traced peak is
+    4.45 parameter vectors; a copy of the parameters, out of the net or on
+    its way in, would lift it past 5."""
     sigma = 0.0 if mode is Mode.AGEM else 0.7
-    run_stream(small_stream(3), agem_cfg(mode=mode, epochs_per_task=1,
-                                         noise=NoiseConfig(sigma=sigma, clip_bound=0.5)))
+    cfg = agem_cfg(mode=mode, epochs_per_task=1, hidden_dims=(2000,),
+                   noise=NoiseConfig(sigma=sigma, clip_bound=0.5))
+    peak = traced_peak_in_param_vectors(small_stream(3, d=64), cfg)
+    assert peak < 5, peak
 
 
 def test_full_width_run_holds_under_five_parameter_vectors():
@@ -341,14 +364,8 @@ def test_full_width_run_holds_under_five_parameter_vectors():
     cfg = TrainConfig(mode=Mode.DP_CL, sampling_rate=100 / len(stream.tasks[0][0]),
                       ref_batch_size=50, hidden_dims=(256, 256),
                       noise=NoiseConfig(sigma=1.0, clip_bound=0.1, seed=1), seed=1)
-    vector_bytes = nn.DenseNet.create([784, 256, 256, 10]).params.nbytes
-    tracemalloc.start()
-    try:
-        run_stream(stream, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * vector_bytes, peak / vector_bytes
+    peak = traced_peak_in_param_vectors(stream, cfg)
+    assert peak < 5, peak
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -365,8 +382,8 @@ def test_train_task_drawing_ahead_never_reads_a_buffer_before_writing_it(mode, m
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("nan_feature", [False, True])
 def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
-    """The helper thread is joined when train_task returns and when a NaN
-    feature makes it raise; each helper draw is slowed, so a draw left
+    """The helper thread is joined when train_task returns inside its noise
+    source's with block and when a NaN feature makes it raise; each helper draw is slowed, so a draw left
     running would land in the buffers after the call."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
@@ -381,12 +398,12 @@ def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
     threads = threading.active_count()
     if nan_feature:
         with pytest.raises(NumericError):
-            train_task(net, train, [stream.tasks[0][1]], None, cfg, 2)
+            train_alone(net, train, [stream.tasks[0][1]], cfg, 2)
     else:
-        train_task(net, train, [stream.tasks[0][1]], None, cfg, 2)
+        train_alone(net, train, [stream.tasks[0][1]], cfg, 2)
     assert threading.active_count() == threads
     assert on_main and not any(on_main)
-    (buffers,) = seen  # the task's own source, made by train_task
+    (buffers,) = seen  # the task's own source
     after = buffers.copy()
     time.sleep(0.1)
     assert np.array_equal(buffers, after, equal_nan=True)
@@ -420,7 +437,7 @@ def test_no_draw_outlives_a_run_that_raises_in_task_two(monkeypatch):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_step_buffers_are_freed_when_training_returns(mode, gate, monkeypatch):
     """No reference cycle keeps a finished noise source alive, so the step
-    buffers of run_stream and of train_task alone are freed on return, not
+    buffers of run_stream and of a one-task source are freed on return, not
     whenever the cyclic collector next runs."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
     stream = small_stream(2)
@@ -430,7 +447,7 @@ def test_step_buffers_are_freed_when_training_returns(mode, gate, monkeypatch):
     gc.disable()
     try:
         run_stream(stream, cfg)
-        train_task(net, stream.tasks[1][0], [stream.tasks[0][1]], None, cfg, 2)
+        train_alone(net, stream.tasks[1][0], [stream.tasks[0][1]], cfg, 2)
         freed = [weakref.ref(seen.pop()) for _ in range(2)]
         assert all(ref() is None for ref in freed)
     finally:
@@ -485,15 +502,14 @@ def test_step_off_the_plan_adds_no_noise(draw_ahead, monkeypatch):
     cfg = private_cfg(Mode.DP_CL, sampling_rate=1.0)
     train = stream.tasks[0][0]
     net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
-    before = net.get_params()
-    real = trainer._plan
-    monkeypatch.setattr(trainer, "_plan", lambda cfg, tasks: real(cfg, [(2, [len(train)])]))
-    seen = captured_buffers(monkeypatch)
+    before = net.params.copy()
+    buffers = np.empty((3, net.num_params))
     with pytest.raises(RuntimeError, match="not the next one planned"):
-        train_task(net, train, [], None, cfg, 1)
+        with trainer._NoiseSource(cfg, trainer._plan(cfg, [(2, [len(train)])]), buffers) as noise:
+            train_task(net, train, [], None, cfg, 1, noise)
     assert np.array_equal(net.params, before)
-    held = seen[0][0]
-    assert np.array_equal(held, nn.clipped_mean_grad(net, gathered(train), cfg.noise.clip_bound))
+    assert np.array_equal(buffers[0],
+                          nn.clipped_mean_grad(net, gathered(train), cfg.noise.clip_bound))
 
 
 def test_full_width_dp_agem_joint_release_draws_ahead_bitwise(monkeypatch):
@@ -610,14 +626,18 @@ def test_dp_agem_charges_every_block():
 def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatch):
     """The (_ROLE_BLOCK, task, step) generator is built once for each step
     that reads a memory, by the plan alone; dp_agem reads every block and
-    draws no choice. Gate 0 walks the plan on the helper thread."""
+    draws no choice. The (_ROLE_REF_IDX, task, step, block) generator is
+    built once for each block a step reads. Gate 0 walks the plan on the
+    helper thread."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
-    built = []
+    built, rows_built = [], []
     real = trainer._rng
 
     def counted(seed, *key):
         if key[0] == _ROLE_BLOCK:
             built.append(key[1:])
+        elif key[0] == _ROLE_REF_IDX:
+            rows_built.append(key[1:3])
         return real(seed, *key)
 
     monkeypatch.setattr(trainer, "_rng", counted)
@@ -625,47 +645,56 @@ def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatc
     run_stream(small_stream(3), cfg)
     reads = [(t, step) for t in (2, 3) for step in range(cfg.steps_per_task)]
     assert built == ([] if mode is Mode.DP_AGEM else reads)
+    blocks_read = (lambda t: t - 1) if mode is Mode.DP_AGEM else (lambda t: 1)
+    assert rows_built == [(t, step) for t, step in reads for _ in range(blocks_read(t))]
 
 
 @pytest.mark.parametrize("gate", [0, 1 << 16])
-@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+@pytest.mark.parametrize("mode", list(Mode))
 def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     """Charging the plan's records, in order, into a fresh ledger gives the
     run's ledger bitwise, and each reference release gathers exactly the
-    blocks its record names; training batches and evaluations also gather,
-    so only the gathers made inside _ref_grad are counted."""
+    rows of the blocks its record names, in the record's order; training
+    batches and evaluations also gather, so only the gathers of releases
+    that read a stored block are counted."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
+    stream = small_stream(4)
+    refs = [ref for _, ref, _, _ in stream.tasks]
     records, releases, inside = [], [], []
-    real_plan, real_ref_grad, real_gather = trainer._plan, trainer._ref_grad, TaskSplit.gather
+    real_plan, real_release, real_gather = trainer._plan, trainer._release, TaskSplit.gather
 
     def recorded_plan(cfg, tasks):
         for record in real_plan(cfg, tasks):
             records.append(record)
             yield record
 
-    def recorded_ref_grad(net, blocks, record, *args, **kwargs):
-        releases.append((record, blocks, []))
-        inside.append(True)
+    def recorded_release(*args, **kwargs):
+        inside.append([])
         try:
-            return real_ref_grad(net, blocks, record, *args, **kwargs)
+            g, record, z = real_release(*args, **kwargs)
         finally:
-            inside.pop()
+            read = inside.pop()
+        if read and all(any(split is ref for ref in refs) for split, _ in read):
+            releases.append((record, read))
+        return g, record, z
 
     def recorded_gather(self, idx, x_out, y_out):
         if inside:
-            _, blocks, read = releases[-1]
-            read.append(1 + [block is self for block in blocks].index(True))
+            inside[-1].append((self, np.array(idx)))
         return real_gather(self, idx, x_out, y_out)
 
     monkeypatch.setattr(trainer, "_plan", recorded_plan)
-    monkeypatch.setattr(trainer, "_ref_grad", recorded_ref_grad)
+    monkeypatch.setattr(trainer, "_release", recorded_release)
     monkeypatch.setattr(TaskSplit, "gather", recorded_gather)
-    stream = small_stream(4)
-    cfg = private_cfg(mode, epochs_per_task=2)
+    cfg = agem_cfg(epochs_per_task=2) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=2)
     result = run_stream(stream, cfg)
     assert len(records) == 4 * cfg.steps_per_task
-    assert [r for r in records if r.block_ids] == [record for record, _, _ in releases]
-    assert all(read == list(record.block_ids) for record, _, read in releases)
+    assert [r for r in records if r.block_ids] == [record for record, _ in releases]
+    for record, read in releases:
+        assert [refs.index(split) + 1 for split, _ in read] == list(record.block_ids)
+        assert all(np.array_equal(idx, rows) for (_, idx), rows in zip(read, record.ref_rows))
+    if mode is Mode.AGEM:
+        return
     replay = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     for t in range(1, 5):
         replay.register_task(t)
@@ -687,7 +716,7 @@ def test_dp_cl_and_dp_agem_coincide_with_single_block():
                 ref_batch_size=4, seed=7)
     res_cl = run_stream(stream, TrainConfig(mode=Mode.DP_CL, **base))
     res_naive = run_stream(stream, TrainConfig(mode=Mode.DP_AGEM, **base))
-    assert np.array_equal(res_cl.net.get_params(), res_naive.net.get_params())
+    assert np.array_equal(res_cl.net.params, res_naive.net.params)
 
 
 def test_dp_agem_noiseless_single_block_ref_gradient():
@@ -704,14 +733,17 @@ def test_dp_agem_noiseless_single_block_ref_gradient():
 
 
 def released_ref_grad(net, blocks, task_id, step, cfg):
-    """_ref_grad at step `step` of task_id, with its record and noise from a
-    plan of that step alone (its training noise is drawn and left unused);
-    returns the reference gradient and the record."""
+    """The reference release of step `step` of task_id, reading the rows its
+    record names, with its record and noise from a plan of that step alone
+    (its training noise is drawn and left unused); returns the reference
+    gradient and the record."""
     plan = [r for r in trainer._plan(cfg, [(task_id, [len(b) for b in blocks])]) if r.step == step]
     with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
         record, z = noise.take(task_id, step)
         noise.give(z)
-        return _ref_grad(net, blocks, record, cfg, noise), record
+        picks = [(blocks[i - 1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
+        g, _, z = _release(net, picks, cfg, noise, task_id, step, out=np.empty(net.num_params))
+        return g, record
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 4])
@@ -752,9 +784,8 @@ def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
                       hidden_dims=(8,), ref_batch_size=9, seed=4)
     net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
     expected = np.mean([
-        nn.clipped_mean_grad(net, gathered(block, sample_indices(
-            len(block), cfg.ref_batch_size, _rng(cfg.seed, _ROLE_REF_IDX, 4, 0, block_id))),
-            cfg.noise.clip_bound)
+        nn.clipped_mean_grad(net, gathered(block, ref_rows(cfg, 4, 0, block_id, len(block))),
+                             cfg.noise.clip_bound)
         for block_id, block in enumerate(blocks, start=1)], axis=0)
     g_ref, _ = released_ref_grad(net, blocks, 4, 0, cfg)
     # equal up to GEMM row blocking: one pass over 7 + 9 + 9 rows against three
@@ -792,7 +823,7 @@ def test_run_stream_deterministic():
     a = run_stream(stream, cfg)
     b = run_stream(stream, cfg)
     assert np.array_equal(a.matrix.a, b.matrix.a, equal_nan=True)
-    assert np.array_equal(a.net.get_params(), b.net.get_params())
+    assert np.array_equal(a.net.params, b.net.params)
 
 
 def test_identical_tasks_show_no_forgetting():
@@ -815,7 +846,9 @@ def test_clipped_gradients_respect_bound_pre_noise():
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
     plan = trainer._plan(cfg, [(1, [])])
     with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
-        g, _, _ = _batch_grad(net, gathered(stream.tasks[0][0]), cfg, noise, 1, 0)
+        train = stream.tasks[0][0]
+        g, _, _ = _release(net, [(train, np.arange(len(train)))], cfg, noise, 1, 0,
+                           out=np.empty(net.num_params))
     assert np.linalg.norm(g) <= 0.05 + 1e-12
 
 
@@ -878,7 +911,7 @@ def test_split_views_train_bitwise_like_materialized_splits(mode):
     stream = small_stream(3, d=64, per_class=30, seed=2)
     cfg = agem_cfg(epochs_per_task=2) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=2)
     a, b = run_stream(stream, cfg), run_stream(materialized(stream), cfg)
-    assert np.array_equal(a.net.get_params(), b.net.get_params())
+    assert np.array_equal(a.net.params, b.net.params)
     assert np.array_equal(a.matrix.a, b.matrix.a, equal_nan=True)
     assert np.array_equal(a.curve, b.curve)
     assert a.report.total == b.report.total
@@ -902,7 +935,7 @@ def test_each_net_and_test_split_evaluated_once(epochs, monkeypatch):
     diagonal = 0 if cfg.steps_per_task <= cfg.lca_beta else t
     assert len(calls) == t * points + t * (t - 1) // 2 + diagonal
     assert np.array_equal(result.matrix.a, unrecorded.matrix.a, equal_nan=True)
-    assert np.array_equal(result.net.get_params(), unrecorded.net.get_params())
+    assert np.array_equal(result.net.params, unrecorded.net.params)
 
 
 def test_negative_seed_rejected():
