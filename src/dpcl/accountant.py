@@ -190,19 +190,17 @@ def budget_lemma2(budgets, t) -> BudgetReport:
 
 @dataclass
 class PrivacyLedger:
-    """Per-task and per-block moment states for one training run.
+    """Per-task and per-read moment states for one training run.
 
-    Training steps charge the current task's train state. Reference steps
-    charge both the task that consumed the block (feeding eps'_i as the
-    single-block policy defines it) and the block itself (the inspectable
-    per-block view).
-    """
+    Training steps charge the task's train state, reference steps the
+    reading task (eps'_t, lemma 2) and the (reading task, block) pair: lemma 1
+    charges block i at task T eps_i plus the eps of each pair (t, i), t > i."""
 
     sigma: float
     lambda_max: int = DEFAULT_LAMBDA_MAX
     train_states: dict = field(default_factory=dict)
     ref_states_by_task: dict = field(default_factory=dict)
-    ref_states_by_block: dict = field(default_factory=dict)
+    ref_states_by_read: dict = field(default_factory=dict)  # (reading task, block) -> state
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _state(self, table, key):
@@ -225,7 +223,7 @@ class PrivacyLedger:
         if chosen_block_id >= task_id:
             raise StateError("reference block must belong to an earlier task")
         self.ref_states_by_task[task_id].add_step(q_ref_effective, self.sigma)
-        self._state(self.ref_states_by_block, chosen_block_id).add_step(
+        self._state(self.ref_states_by_read, (task_id, chosen_block_id)).add_step(
             q_ref_effective, self.sigma)
 
     def task_budgets(self, delta) -> list:
@@ -240,7 +238,10 @@ class PrivacyLedger:
 
     def report(self, delta, policy: Policy) -> BudgetReport:
         budgets = self.task_budgets(delta)
-        t = len(budgets)
-        if policy is Policy.LEMMA1:
-            return budget_lemma1(budgets, t)
-        return budget_lemma2(budgets, t)
+        if policy is Policy.LEMMA2:
+            return budget_lemma2(budgets, len(budgets))
+        _check_budgets(budgets, len(budgets))
+        per_task = [b.eps_train for b in budgets]
+        for (_, block_id), state in self.ref_states_by_read.items():
+            per_task[block_id - 1] += compose_epsilon(state, delta)
+        return BudgetReport(per_task, float(sum(per_task)))

@@ -16,21 +16,23 @@ in place; called without out=, nn.grad, nn.clipped_mean_grad and
 project_gradient return new arrays.
 
 What a step reads, draws and charges is decided once, by _plan, in one
-_Step record per step: the rows of each block its reference release reads,
-each release's noise address and each q charged. Both releases of a step go
-through _release, the training batch as its one-pick case. One _NoiseSource
-per run walks the plan, draws the records' noise in order into the step
-buffers and hands each step its record. A private net with at least 2**16
-parameters walks the plan on a helper thread, which run_stream
-starts after making the net and joins before it returns or raises: the next
-step's draws run while this thread projects, updates, evaluates and computes
-the clipped means, and numpy draws without holding the interpreter lock, so
-on a second core. Smaller nets draw inline, because there the handoff costs
-more than the overlap saves. Both ways give bitwise the same results.
+_Step record per step: the training rows, the rows of each block read, each
+release's noise address and each q charged. run_stream walks the records on
+this thread and makes each step from its record alone (_step), both of its
+releases through _release. One _NoiseSource per run queues each record's
+releases a record ahead of its step and draws their noise in order into the
+step buffers; at 2**16 parameters or more, a private run draws on a helper
+thread that draws noise and nothing else, started after the net is made and
+joined before run_stream returns or raises. The next step's draws then run
+while this thread projects, updates, evaluates and computes the clipped
+means, and numpy draws without holding the interpreter lock, so on a second
+core. Smaller nets draw inline, because there the handoff costs more than
+the overlap saves. Both ways give bitwise the same results.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import queue
@@ -137,6 +139,7 @@ class _Step(NamedTuple):
     """What one step reads, draws and charges."""
     task_id: int
     step: int
+    train_rows: np.ndarray  # the rows of its task's training split the training release reads
     block_ids: tuple  # the blocks its reference release reads; block i is task i's ref split
     ref_rows: tuple   # the rows it reads of each, min(k, |block|) drawn without replacement
     releases: tuple   # (noise address, blocks B it averages) per release, training first
@@ -145,15 +148,17 @@ class _Step(NamedTuple):
 
 
 def _plan(cfg: TrainConfig, tasks):
-    """The _Step records of tasks, (task_id, sizes of its stored blocks)
-    pairs, in step order. A reference release reads one uniformly chosen
-    block (agem, dp_cl) or every block (dp_agem), min(k, |block|) rows of
-    each, each block charged at share * min(k, |block|) / |block|. The block
-    choice and the rows are drawn here and nowhere else."""
-    k, dp_agem = cfg.ref_batch_size, cfg.mode is Mode.DP_AGEM
-    for task_id, sizes in tasks:
+    """The _Step records of tasks, (task_id, training split size, sizes of
+    its stored blocks) triples, in step order. The training release reads
+    each row with probability p, charged p; a reference release reads one
+    uniformly chosen block (agem, dp_cl) or every block (dp_agem),
+    min(k, |block|) rows of each, each block charged at
+    share * min(k, |block|) / |block|. Every row a step reads is drawn here."""
+    k, p, dp_agem = cfg.ref_batch_size, cfg.sampling_rate, cfg.mode is Mode.DP_AGEM
+    for task_id, n, sizes in tasks:
         share = 1.0 if dp_agem or not sizes else 1.0 / len(sizes)
         for step in range(cfg.steps_per_task):
+            train_rows = np.flatnonzero(_rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p)
             if dp_agem or not sizes:  # every block, or none before task 2
                 ids = tuple(range(1, len(sizes) + 1))
             else:
@@ -163,75 +168,85 @@ def _plan(cfg: TrainConfig, tasks):
             releases = (((_ROLE_TRAIN_NOISE, task_id, step), 1),)
             if ids:
                 releases += (((_ROLE_REF_NOISE, task_id, step, *ids), len(ids)),)
-            yield _Step(task_id, step, ids, rows, releases, cfg.sampling_rate,
+            yield _Step(task_id, step, train_rows, ids, rows, releases, p,
                         tuple(share * (len(r) / sizes[i - 1]) for i, r in zip(ids, rows)))
 
 
 class _NoiseSource:
-    """Draws the noise of the releases of plan's _Step records (dp.draw_noise),
-    in order, into the buffers after the first, which the step holds (held);
-    an agem source draws nothing and lends its buffers. take hands out the
-    next release's record and noise; give takes a buffer back. In a with
-    block, a private net of _DRAW_AHEAD_MIN_PARAMS or more parameters draws
-    ahead on a helper thread, joined when the block ends; otherwise take draws."""
+    """Draws the noise of the releases ahead queues (dp.draw_noise), in order,
+    into the buffers after the first, which the step holds (held); an agem
+    source draws nothing and lends its buffers. take hands out the next
+    noise; give takes a buffer back. In a with block, a private net of
+    _DRAW_AHEAD_MIN_PARAMS or more parameters draws on a helper thread,
+    joined when the block ends; otherwise take draws."""
 
-    def __init__(self, cfg: TrainConfig, plan, buffers):
+    def __init__(self, cfg: TrainConfig, buffers):
         self.held, *free = buffers
-        self._free, self._drawn, self._helper = queue.SimpleQueue(), queue.SimpleQueue(), None
+        self._free, self._queued, self._drawn = (queue.SimpleQueue() for _ in range(3))
         for z in free:
             self._free.put(z)
-        self._noise = None if cfg.mode is Mode.AGEM else cfg.noise
-        # the draws see the queue, not self: a reference cycle would keep a
-        # finished source and its buffers alive until the cyclic collector ran
-        self._draws = self._drawing(self._free, self._noise, plan)
+        self._noise, self._helper = None if cfg.mode is Mode.AGEM else cfg.noise, None
 
     def __enter__(self):
         if self._noise is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
-            self._helper = threading.Thread(target=self._draw_ahead, daemon=True)
+            # the helper sees the queues, not self, so a finished source is freed at once
+            self._helper = threading.Thread(target=self._draw_ahead, daemon=True, args=(
+                self._queued, self._free, self._drawn, self._noise))
             self._helper.start()
         return self
 
     def __exit__(self, *exc):
         if self._helper is not None:
-            self._free.put(None)  # stops the helper at the next buffer it waits for
+            self._queued.put(None)  # stops the helper at the next release
+            self._free.put(None)    # or at the next buffer it waits for
             self._helper.join()
 
     @staticmethod
-    def _drawing(free, noise, plan):
-        for record in plan:
-            for address, n_blocks in record.releases:
-                z = free.get()
-                if z is None:
-                    return
-                yield record, z if noise is None else draw_noise(noise, address, z, n_blocks)
+    def _draw(queued, free, noise, block=True):
+        """The next queued release's noise, drawn into a free buffer; None past
+        the plan's end or once the source stops. Unless block, raises queue.Empty."""
+        release = queued.get(block)
+        z = None if release is None else free.get(block)
+        if z is not None and noise is not None:
+            z = draw_noise(noise, release[0], z, release[1])
+        return z
 
-    def _draw_ahead(self):
+    @staticmethod
+    def _draw_ahead(queued, free, drawn, noise):
         try:
-            for drawn in self._draws:
-                self._drawn.put(drawn)
+            while (z := _NoiseSource._draw(queued, free, noise)) is not None:
+                drawn.put(z)
         finally:
-            self._drawn.put(None)  # so that take raises rather than waits
+            drawn.put(None)  # so that take raises rather than waits
 
-    def take(self, task_id, step):
-        """The next planned release's record and noise; it must be of this step."""
-        drawn = self._drawn.get() if self._helper is not None else next(self._draws, None)
-        if drawn is None or (drawn[0].task_id, drawn[0].step) != (task_id, step):
-            raise RuntimeError(f"release of task {task_id} step {step} is not the next one planned")
-        return drawn
+    def ahead(self, plan):
+        """plan's records in order, each handed out once the next one's
+        releases are queued, so that their noise is drawn a record ahead."""
+        for record, upcoming in itertools.pairwise(itertools.chain([None], plan, [None])):
+            for release in upcoming.releases if upcoming else [None]:  # None ends the plan
+                self._queued.put(release)
+            if record is not None:
+                yield record
+
+    def take(self):
+        """The next queued release's noise, in a buffer the caller gives back."""
+        z = self._drawn.get() if self._helper else self._draw(
+            self._queued, self._free, self._noise, block=False)
+        if z is None:
+            raise RuntimeError("no queued release is left to take")
+        return z
 
     def give(self, z):
         self._free.put(z)
 
 
-def _release(net, picks, cfg: TrainConfig, noise, task_id, step, *, out):
-    """One release of this step: the rows idx of each (split, idx) pick,
-    gathered in turn into one batch, give the plain mean gradient (agem) or
-    the mean of the picks' clipped means plus the noise noise.take hands out;
-    picks without rows give a zero gradient. Written into out; returns it,
-    the step's record and the noise buffer, which the caller gives back."""
-    n = sum(len(idx) for _, idx in picks)
+def _release(net, picks, cfg: TrainConfig, noise, *, out):
+    """One release: the rows idx of each (split, idx) pick, gathered into one
+    batch, give the plain mean gradient (agem) or the mean of the picks'
+    clipped means plus noise.take's next noise, or zero without rows. Written
+    into out; returns it and the noise buffer, for the caller to give back."""
+    n, g = sum(len(idx) for _, idx in picks), out
     if n == 0:
-        g = out
         g.fill(0.0)
     else:
         x, y, end = np.empty((n, picks[0][0].feature_dim)), np.empty(n, dtype=np.int64), 0
@@ -244,49 +259,37 @@ def _release(net, picks, cfg: TrainConfig, noise, task_id, step, *, out):
         else:
             sizes = [len(idx) for _, idx in picks] if len(picks) > 1 else None
             g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=out)
-    record, z = noise.take(task_id, step)
+    z = noise.take()
     if cfg.mode is not Mode.AGEM:
         g += z  # bitwise z + g
-    return g, record, z
+    return g, z
 
 
-def train_task(net, train_data, blocks, ledger, cfg: TrainConfig, task_id, noise,
-               step_callback=None):
-    """Train net on one task; when blocks (the stored reference splits of
-    tasks 1..task_id-1) is not empty, every update is projected against the
-    reference gradient of the rows of them that the step's record names, and
-    the step charges ledger the record's qs. noise, the run's _NoiseSource,
-    holds the three step buffers, which rotate: the held one takes the
-    training clipped mean and its noise; that noise's buffer takes the
-    reference mean and its noise, whose buffer goes back; the projection is
-    written into the reference buffer, and the buffer the update is not in
-    goes back. No step reads an entry it has not written."""
-    n = len(train_data)
-    params = net.params
-    g = noise.held
-    for step in range(cfg.steps_per_task):
-        if step_callback is not None:
-            step_callback(step, net)
-        mask = _rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < cfg.sampling_rate
-        g, record, spare = _release(net, [(train_data, np.flatnonzero(mask))], cfg, noise,
-                                    task_id, step, out=g)
-        if ledger is not None:
-            ledger.track_training_step(record.task_id, record.q_train)
-            for block_id, q in zip(record.block_ids, record.q_blocks):
-                ledger.track_ref_step(record.task_id, block_id, q)
-        if record.block_ids:
-            picks = [(blocks[i - 1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
-            g_ref, _, z = _release(net, picks, cfg, noise, task_id, step, out=spare)
-            noise.give(z)
-            update = project_gradient(g, g_ref, cfg.projection_rule, out=g_ref)
-            g, spare = update, (g if update is g_ref else g_ref)
-        noise.give(spare)
-        g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
-        params += g
+def _step(net, record: _Step, stream: TaskStream, ledger, cfg: TrainConfig, noise):
+    """The step of record, made from it alone: the training release reads its
+    train_rows, the update is projected against the reference release of its
+    ref_rows, if any, and added to net.params; ledger (None for agem) is
+    charged its qs. noise's three buffers rotate: the held one takes the
+    training mean and noise, that noise's buffer the reference mean and
+    noise, whose buffer goes back, then the projection; of the two, the one
+    without the update goes back. No step reads an entry it has not written."""
+    tasks = stream.tasks
+    g, spare = _release(net, [(tasks[record.task_id - 1][0], record.train_rows)], cfg, noise,
+                        out=noise.held)
+    if ledger is not None:
+        ledger.track_training_step(record.task_id, record.q_train)
+        for block_id, q in zip(record.block_ids, record.q_blocks):
+            ledger.track_ref_step(record.task_id, block_id, q)
+    if record.block_ids:
+        picks = [(tasks[i - 1][1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
+        g_ref, z = _release(net, picks, cfg, noise, out=spare)
+        noise.give(z)
+        update = project_gradient(g, g_ref, cfg.projection_rule, out=g_ref)
+        g, spare = update, (g if update is g_ref else g_ref)
+    noise.give(spare)
+    g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
+    np.add(net.params, g, out=net.params)
     noise.held = g
-    if step_callback is not None:
-        step_callback(cfg.steps_per_task, net)
-    return net
 
 
 @dataclass
@@ -309,33 +312,29 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     track_privacy = cfg.mode is not Mode.AGEM
     if track_privacy and cfg.noise.sigma == 0:
         raise ConfigError(f"mode {cfg.mode.value} releases gradients, so it needs sigma > 0")
-    d = stream.tasks[0][0].feature_dim
-    num_classes = stream.tasks[0][0].num_classes
-    net = nn.DenseNet.create([d, *cfg.hidden_dims, num_classes], seed=cfg.seed)
+    first = stream.tasks[0][0]
+    net = nn.DenseNet.create([first.feature_dim, *cfg.hidden_dims, first.num_classes], cfg.seed)
 
     ledger = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
     sizes = [len(ref) for _, ref, _, _ in stream.tasks]
-    plan = _plan(cfg, [(t, sizes[:t - 1]) for t in range(1, stream.num_tasks + 1)])
+    plan = _plan(cfg, [(t, len(train), sizes[:t - 1])
+                       for t, (train, _, _, _) in enumerate(stream.tasks, start=1)])
     # one set of step buffers for the whole run
-    with _NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
-        for t, (train_split, _, test_split, _) in enumerate(stream.tasks, start=1):
+    with _NoiseSource(cfg, np.empty((3, net.num_params))) as noise:
+        records = noise.ahead(plan)
+        for t, (_, _, test_split, _) in enumerate(stream.tasks, start=1):
             ledger.register_task(t)
-            trace = []
-
-            def record(step, net, _test=test_split, _trace=trace):
-                if step <= cfg.lca_beta:
-                    _trace.append(nn.accuracy(net, _test))
-
-            blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
-            net = train_task(net, train_split, blocks, ledger if track_privacy else None,
-                             cfg, t, noise, step_callback=record)
+            trace = [nn.accuracy(net, test_split)]  # after b = 0 updates
+            for record in itertools.islice(records, cfg.steps_per_task):
+                _step(net, record, stream, ledger if track_privacy else None, cfg, noise)
+                if record.step < cfg.lca_beta:
+                    trace.append(nn.accuracy(net, test_split))
             traces.append(trace)
             for j in range(1, t):
                 matrix.set(t, j, nn.accuracy(net, stream.tasks[j - 1][2]))
-            # the trace's last point already holds the final net's accuracy on
-            # this task when every step up to steps_per_task was recorded
+            # the trace's last point is the final net's when it follows the task's last step
             final = cfg.steps_per_task <= cfg.lca_beta
             matrix.set(t, t, trace[-1] if final else nn.accuracy(net, test_split))
 

@@ -227,7 +227,7 @@ def plan_reads(n_blocks, block_size, k, steps, seed):
     cfg = TrainConfig(mode=Mode.DP_CL, sampling_rate=1.0, epochs_per_task=steps,
                       ref_batch_size=k, seed=seed)
     ids, cells = [], []  # cell (block_id - 1) * block_size + row of every row read
-    for record in _plan(cfg, [(n_blocks + 1, [block_size] * n_blocks)]):
+    for record in _plan(cfg, [(n_blocks + 1, 0, [block_size] * n_blocks)]):
         for block_id, rows in zip(record.block_ids, record.ref_rows):
             ids.append(block_id - 1)
             cells.append((block_id - 1) * block_size + rows)

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from dpcl.data import Dataset
-from dpcl.trainer import Mode, TrainConfig, _plan
+from dpcl.trainer import _ROLE_BATCH, Mode, TrainConfig, _plan, _rng
 
 from _oracles import gathered, membership_expectation_check, plan_reads
 
@@ -43,7 +43,7 @@ def test_cal_gref_oversized_batch_returns_whole_block():
     cfg = TrainConfig(mode=Mode.DP_CL, ref_batch_size=50, epochs_per_task=1, seed=0)
     # each element exactly once: use distinguishable feature rows
     distinct = Dataset(np.arange(5)[:, None] * 1.0, np.zeros(5, dtype=int), 1)
-    for record in _plan(cfg, [(3, [5, 5])]):
+    for record in _plan(cfg, [(3, 0, [5, 5])]):
         (rows,) = record.ref_rows
         assert len(rows) == 5
         batch = gathered(distinct, rows)
@@ -52,15 +52,22 @@ def test_cal_gref_oversized_batch_returns_whole_block():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_every_record_reads_distinct_rows_and_charges_their_share(mode):
-    """For every block a record reads: min(k, |block|) distinct rows in range,
-    charged share * rows / |block|, where share is 1 for dp_agem and one over
-    the number of stored blocks otherwise. Blocks 1 and 4 are smaller than k."""
-    sizes, k = [3, 7, 12, 5], 6
+    """The training rows of every record are the rows of the task's
+    (_ROLE_BATCH, task, step) Bernoulli(p) mask, sorted, distinct and in
+    range, charged q = p. For every block a record reads: min(k, |block|)
+    distinct rows in range, charged share * rows / |block|, where share is 1
+    for dp_agem and one over the number of stored blocks otherwise. Blocks 1
+    and 4 are smaller than k."""
+    sizes, train_sizes, k = [3, 7, 12, 5], [40, 0, 1, 25, 60], 6
     cfg = TrainConfig(mode=mode, sampling_rate=0.1, ref_batch_size=k, epochs_per_task=3, seed=2)
-    records = list(_plan(cfg, [(t, sizes[:t - 1]) for t in range(1, 6)]))
+    records = list(_plan(cfg, [(t, train_sizes[t - 1], sizes[:t - 1]) for t in range(1, 6)]))
     assert len(records) == 5 * cfg.steps_per_task
     for record in records:
-        stored = record.task_id - 1
+        stored, n = record.task_id - 1, train_sizes[record.task_id - 1]
+        mask = _rng(cfg.seed, _ROLE_BATCH, record.task_id, record.step).random(n) < 0.1
+        assert np.array_equal(record.train_rows, np.flatnonzero(mask))
+        rows = record.train_rows
+        assert np.array_equal(rows, np.unique(rows)) and np.all((rows >= 0) & (rows < n))
         assert record.q_train == cfg.sampling_rate
         if mode is Mode.DP_AGEM or stored == 0:
             assert record.block_ids == tuple(range(1, stored + 1))
@@ -73,6 +80,7 @@ def test_every_record_reads_distinct_rows_and_charges_their_share(mode):
             assert len(rows) == min(k, size) == len(np.unique(rows))
             assert rows.min() >= 0 and rows.max() < size
             assert q == share * (len(rows) / size)
+    assert sum(len(record.train_rows) for record in records) > 0
 
 
 def test_membership_t2_q1_selects_everything():

@@ -74,7 +74,8 @@ def test_script_explicit_seed_is_used(name, tmp_path, monkeypatch, capsys):
 
 def test_full_scale_script_runs_to_its_artifacts(tmp_path, monkeypatch, capsys):
     """The whole script on tiny archives: a two-task dp_cl run writes the
-    accuracy matrix and one budget report per policy, and prints both totals."""
+    accuracy matrix and one budget report per policy, and prints both totals;
+    lemma 1's is at least lemma 2's."""
     args = tiny_archives(tmp_path)
     out = tmp_path / "out"
     monkeypatch.setattr(sys, "argv", ["run_full_scale", *args, "--tasks", "2", "--seed", "0",
@@ -83,6 +84,7 @@ def test_full_scale_script_runs_to_its_artifacts(tmp_path, monkeypatch, capsys):
     stdout = capsys.readouterr().out
     with open(out / "dp_cl_accuracy_matrix.csv") as f:
         assert len(f.read().splitlines()) == 3  # a header and one row per task
+    printed = []
     for policy in ("lemma1", "lemma2"):
         with open(out / f"dp_cl_budget_{policy}.csv") as f:
             header, *rows = f.read().splitlines()
@@ -92,6 +94,8 @@ def test_full_scale_script_runs_to_its_artifacts(tmp_path, monkeypatch, capsys):
         assert 0 < total < float("inf")
         (line,) = [l for l in stdout.splitlines() if l.startswith(f"total epsilon ({policy}")]
         assert line == f"total epsilon ({policy}, delta=1e-4): {total:.3f}"
+        printed.append(float(line.split()[-1]))
+    assert printed[0] >= printed[1]
 
 
 def failed_run(name, args, monkeypatch, capsys):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcl import dp, nn, trainer
-from dpcl.accountant import MomentState, PrivacyLedger
+from dpcl.accountant import MomentState, Policy, PrivacyLedger, compose_epsilon
 from dpcl.data import Dataset, TaskSplit, TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.errors import ConfigError, NumericError
@@ -31,7 +31,6 @@ from dpcl.trainer import (
     _release,
     project_gradient,
     run_stream,
-    train_task,
 )
 
 from _oracles import add_noise, gathered
@@ -94,19 +93,22 @@ def test_projection_orthogonality_property(seed, dim):
     assert conflict_out @ g_ref >= -1e-9 * np.linalg.norm(g) * np.linalg.norm(g_ref)
 
 
-def train_alone(net, train_split, blocks, cfg, task_id, **kw):
-    """train_task on one task without a ledger, with a noise source of its own."""
-    plan = trainer._plan(cfg, [(task_id, [len(block) for block in blocks])])
-    with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
-        return train_task(net, train_split, blocks, None, cfg, task_id, noise, **kw)
+def train_alone(net, stream, task_id, cfg, buffers=None):
+    """The steps of task task_id of stream without a ledger, with a noise
+    source of their own (over buffers, when given)."""
+    sizes = [len(ref) for _, ref, _, _ in stream.tasks[:task_id - 1]]
+    plan = trainer._plan(cfg, [(task_id, len(stream.tasks[task_id - 1][0]), sizes)])
+    if buffers is None:
+        buffers = np.empty((3, net.num_params))
+    with trainer._NoiseSource(cfg, buffers) as noise:
+        for record in noise.ahead(plan):
+            trainer._step(net, record, stream, None, cfg, noise)
+    return net
 
 
-def train_package(stream, cfg, dims):
-    """Final parameters of train_task run through the stream task by task."""
-    net = nn.DenseNet.create(dims, seed=cfg.seed)
-    for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
-        net = train_alone(net, train_split, [ref for _, ref, _, _ in stream.tasks[:t - 1]], cfg, t)
-    return net.params.copy()
+def train_package(stream, cfg):
+    """Final parameters of a run through the stream."""
+    return run_stream(stream, cfg).net.params
 
 
 def ref_rows(cfg, task_id, step, block_id, size):
@@ -205,9 +207,9 @@ def captured_buffers(monkeypatch):
     seen = []
     real = trainer._NoiseSource.__init__
 
-    def recording(self, cfg, plan, buffers):
+    def recording(self, cfg, buffers):
         seen.append(buffers)
-        real(self, cfg, plan, buffers)
+        real(self, cfg, buffers)
 
     monkeypatch.setattr(trainer._NoiseSource, "__init__", recording)
     return seen
@@ -217,7 +219,7 @@ def test_agem_matches_reference_loop_bitwise():
     stream = small_stream(2)
     cfg = agem_cfg()
     dims = [stream.tasks[0][0].feature_dim, 8, 3]
-    assert np.array_equal(train_package(stream, cfg, dims), agem_reference_params(stream, cfg, dims))
+    assert np.array_equal(train_package(stream, cfg), agem_reference_params(stream, cfg, dims))
 
 
 @pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
@@ -225,7 +227,7 @@ def test_private_modes_match_reference_loop_bitwise(mode):
     stream = small_stream(3)
     cfg = private_cfg(mode)
     dims = [stream.tasks[0][0].feature_dim, 8, 3]
-    assert np.array_equal(train_package(stream, cfg, dims),
+    assert np.array_equal(train_package(stream, cfg),
                           private_reference_params(stream, cfg, dims))
 
 
@@ -242,7 +244,7 @@ def test_private_modes_drawing_ahead_match_reference_loop_bitwise(mode, monkeypa
     assert on_main and not any(on_main)
     assert np.array_equal(ahead.net.params, inline.net.params)
     assert ahead.report.total == inline.report.total
-    assert np.array_equal(train_package(stream, cfg, dims),
+    assert np.array_equal(train_package(stream, cfg),
                           private_reference_params(stream, cfg, dims))
 
 
@@ -265,10 +267,9 @@ def test_full_width_private_run_draws_ahead_bitwise(monkeypatch):
 
 
 def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
-    """Six runs at once, each with its own helper thread (one per task for
-    one task's source, one for the whole run for run_stream), on a short
-    switch interval: a draw read before it is complete, or a buffer handed
-    back while still in use, would change the parameters."""
+    """Six runs at once, each with its own run-long helper thread, on a
+    short switch interval: a draw read before it is complete, or a buffer
+    handed back while still in use, would change the parameters."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     stream = small_stream(3)
     cfg = private_cfg(Mode.DP_AGEM)
@@ -278,8 +279,7 @@ def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(6) as pool:
-            runs = [pool.submit(train_package, stream, cfg, dims) for _ in range(4)]
-            runs += [pool.submit(lambda: run_stream(stream, cfg).net.params) for _ in range(2)]
+            runs = [pool.submit(train_package, stream, cfg) for _ in range(6)]
             results = [run.result(timeout=60) for run in runs]
     finally:
         sys.setswitchinterval(interval)
@@ -302,31 +302,29 @@ def test_empty_batch_steps_match_reference_loop_bitwise(mode, draw_ahead, monkey
         monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     dims = [stream.tasks[0][0].feature_dim, 8, 3]
     reference = agem_reference_params if mode is Mode.AGEM else private_reference_params
-    assert np.array_equal(train_package(stream, cfg, dims), reference(stream, cfg, dims))
+    assert np.array_equal(train_package(stream, cfg), reference(stream, cfg, dims))
 
 
 def check_no_buffer_read_before_write(mode):
     stream = small_stream(3)
     sigma = 0.0 if mode is Mode.AGEM else 0.7
     cfg = agem_cfg(mode=mode, noise=NoiseConfig(sigma=sigma, clip_bound=0.5, seed=4))
-    blocks = [ref for _, ref, _, _ in stream.tasks[:2]]
     d = stream.tasks[0][0].feature_dim
-    fresh = train_alone(nn.DenseNet.create([d, 8, 3], seed=1), stream.tasks[2][0], blocks, cfg, 3)
+    fresh = train_alone(nn.DenseNet.create([d, 8, 3], seed=1), stream, 3, cfg)
     poisoned = nn.DenseNet.create([d, 8, 3], seed=1)
     buffers = np.full((3, poisoned.num_params), np.nan)
-    plan = trainer._plan(cfg, [(3, [len(block) for block in blocks])])
-    with trainer._NoiseSource(cfg, plan, buffers) as noise:
-        train_task(poisoned, stream.tasks[2][0], blocks, None, cfg, 3, noise)
+    train_alone(poisoned, stream, 3, cfg, buffers)
     assert np.array_equal(poisoned.params, fresh.params)
     assert np.all(np.isfinite(buffers))  # every buffer was written by the steps
 
 
 def test_train_task_updates_params_in_place():
+    """A task's steps add their updates into net.params, the same array."""
     stream = small_stream(2)
     cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
     net = nn.DenseNet.create([stream.tasks[0][0].feature_dim, 8, 3], seed=1)
     store, before = net.params, net.params.copy()
-    assert train_alone(net, stream.tasks[1][0], [stream.tasks[0][1]], cfg, 2) is net
+    assert train_alone(net, stream, 2, cfg) is net
     assert net.params is store and not np.array_equal(store, before)
 
 
@@ -382,25 +380,27 @@ def test_train_task_drawing_ahead_never_reads_a_buffer_before_writing_it(mode, m
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("nan_feature", [False, True])
 def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
-    """The helper thread is joined when train_task returns inside its noise
-    source's with block and when a NaN feature makes it raise; each helper draw is slowed, so a draw left
-    running would land in the buffers after the call."""
+    """The helper thread is joined when a task's steps return inside their
+    noise source's with block and when a NaN feature makes one raise; each
+    helper draw is slowed, so a draw left running would land in the buffers
+    after the call."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
     stream = small_stream(2)
-    train = stream.tasks[1][0]
+    train, ref, test, perm = stream.tasks[1]
     if nan_feature:
         train = gathered(train)
         train.x[:, 0] = np.nan
+        stream = TaskStream([stream.tasks[0], (train, ref, test, perm)])
     cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
     net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
     seen = captured_buffers(monkeypatch)
     threads = threading.active_count()
     if nan_feature:
         with pytest.raises(NumericError):
-            train_alone(net, train, [stream.tasks[0][1]], cfg, 2)
+            train_alone(net, stream, 2, cfg)
     else:
-        train_alone(net, train, [stream.tasks[0][1]], cfg, 2)
+        train_alone(net, stream, 2, cfg)
     assert threading.active_count() == threads
     assert on_main and not any(on_main)
     (buffers,) = seen  # the task's own source
@@ -447,7 +447,7 @@ def test_step_buffers_are_freed_when_training_returns(mode, gate, monkeypatch):
     gc.disable()
     try:
         run_stream(stream, cfg)
-        train_alone(net, stream.tasks[1][0], [stream.tasks[0][1]], cfg, 2)
+        train_alone(net, stream, 2, cfg)
         freed = [weakref.ref(seen.pop()) for _ in range(2)]
         assert all(ref() is None for ref in freed)
     finally:
@@ -455,23 +455,21 @@ def test_step_buffers_are_freed_when_training_returns(mode, gate, monkeypatch):
 
 
 @pytest.mark.parametrize("draw_ahead", [False, True])
-def test_noise_taken_out_of_plan_order_raises(draw_ahead, monkeypatch):
-    """A take must name the next planned release; past the plan's end it
-    raises rather than waits."""
+def test_noise_taken_past_the_plan_raises(draw_ahead, monkeypatch):
+    """take hands out each queued release's noise in order; past the plan's
+    end it raises rather than waits, and so it does once the helper has
+    stopped."""
     if draw_ahead:
         monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
-    first, second = list(trainer._plan(cfg, [(1, [])]))[:2]
-    with trainer._NoiseSource(cfg, [first, second], np.zeros((3, 16))) as noise:
-        with pytest.raises(RuntimeError, match="not the next one planned"):
-            noise.take(1, 1)
-    with trainer._NoiseSource(cfg, [first], np.zeros((3, 16))) as noise:
-        record, z = noise.take(1, 0)
-        assert record is first
+    first = next(trainer._plan(cfg, [(1, 4, [])]))
+    with trainer._NoiseSource(cfg, np.zeros((3, 16))) as noise:
+        assert list(noise.ahead([first])) == [first]
+        z = noise.take()
         assert np.array_equal(z, add_noise(np.zeros(16), cfg.noise, first.releases[0][0]))
         noise.give(z)
-        with pytest.raises(RuntimeError, match="not the next one planned"):
-            noise.take(1, 1)
+        with pytest.raises(RuntimeError, match="no queued release"):
+            noise.take()
 
 
 def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
@@ -480,36 +478,17 @@ def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
     it. The block runs on a thread of its own, so a hang fails the test."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
-    plan = list(trainer._plan(cfg, [(1, [])]))[:3]
+    plan = list(trainer._plan(cfg, [(1, 4, [])]))[:3]
 
     def take_one_and_leave():
-        with trainer._NoiseSource(cfg, plan, np.zeros((3, 16))) as noise:
-            noise.take(1, 0)
+        with trainer._NoiseSource(cfg, np.zeros((3, 16))) as noise:
+            list(noise.ahead(plan))  # queues three releases
+            noise.take()
 
     block = threading.Thread(target=take_one_and_leave, daemon=True)
     block.start()
     block.join(timeout=10)
     assert not block.is_alive()
-
-
-@pytest.mark.parametrize("draw_ahead", [False, True])
-def test_step_off_the_plan_adds_no_noise(draw_ahead, monkeypatch):
-    """A step whose release is not the next planned one raises before it adds
-    any noise: its buffer holds the bare clipped mean and params are untouched."""
-    if draw_ahead:
-        monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
-    stream = small_stream(2)
-    cfg = private_cfg(Mode.DP_CL, sampling_rate=1.0)
-    train = stream.tasks[0][0]
-    net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
-    before = net.params.copy()
-    buffers = np.empty((3, net.num_params))
-    with pytest.raises(RuntimeError, match="not the next one planned"):
-        with trainer._NoiseSource(cfg, trainer._plan(cfg, [(2, [len(train)])]), buffers) as noise:
-            train_task(net, train, [], None, cfg, 1, noise)
-    assert np.array_equal(net.params, before)
-    assert np.array_equal(buffers[0],
-                          nn.clipped_mean_grad(net, gathered(train), cfg.noise.clip_bound))
 
 
 def test_full_width_dp_agem_joint_release_draws_ahead_bitwise(monkeypatch):
@@ -560,7 +539,7 @@ def test_only_if_conflict_matches_reference_loop_bitwise(mode, gate, monkeypatch
         return update
 
     monkeypatch.setattr(trainer, "project_gradient", recorded)
-    assert np.array_equal(train_package(stream, cfg, dims),
+    assert np.array_equal(train_package(stream, cfg),
                           private_reference_params(stream, cfg, dims))
     assert True in kept and False in kept
 
@@ -605,9 +584,8 @@ def test_dp_agem_charges_every_block():
     cfg = TrainConfig(mode=Mode.DP_AGEM, hidden_dims=(8,), sampling_rate=0.25,
                       epochs_per_task=5, ref_batch_size=4, seed=2)
     result = run_stream(stream, cfg)
-    by_block = result.ledger.ref_states_by_block
-    assert by_block[1].steps == 40  # charged during tasks 2 and 3
-    assert by_block[2].steps == 20  # charged during task 3 only
+    by_read = result.ledger.ref_states_by_read  # (reading task, block) -> state
+    assert list(by_read) == [(2, 1), (3, 1), (3, 2)]
     # every block is read each step, at rate k/|block| with no block draw
     k, block = cfg.ref_batch_size, len(stream.tasks[0][1])
     assert k < block
@@ -616,9 +594,74 @@ def test_dp_agem_charges_every_block():
         expected = replayed(q, cfg.noise.sigma, steps, cfg.lambda_max)
         assert np.array_equal(result.ledger.ref_states_by_task[t].log_moments,
                               expected.log_moments)
-    for block_id, steps in ((1, 40), (2, 20)):
-        expected = replayed(q, cfg.noise.sigma, steps, cfg.lambda_max)
-        assert np.array_equal(by_block[block_id].log_moments, expected.log_moments)
+    expected = replayed(q, cfg.noise.sigma, 20, cfg.lambda_max)
+    for state in by_read.values():
+        assert state.steps == 20
+        assert np.array_equal(state.log_moments, expected.log_moments)
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_lemma1_total_is_at_least_the_lemma2_total(mode):
+    """Lemma 1 charges each read of a block to the block, lemma 2 to the
+    reading task; summed, the per-block charges of a task's reads bound the
+    charge of their composition, so no release is left out of lemma 1."""
+    stream = small_stream(4)
+    result = run_stream(stream, private_cfg(mode))
+    lemma1, lemma2 = (result.ledger.report(1e-4, policy).total for policy in Policy)
+    assert lemma1 > lemma2 > 0
+
+
+def test_lemma1_charges_block_one_what_each_later_task_paid_to_read_it():
+    """A 3-task dp_agem run: block 1's lemma 1 charge is its task's training
+    eps plus the eps of each later task's reads of it, replayed from the
+    plan's records; every (reading task, block) pair is charged more than 0."""
+    stream = small_stream(3)
+    cfg = private_cfg(Mode.DP_AGEM)
+    result = run_stream(stream, cfg)
+    sizes = [len(ref) for _, ref, _, _ in stream.tasks]
+    plan = trainer._plan(cfg, [(t, len(stream.tasks[t - 1][0]), sizes[:t - 1]) for t in (1, 2, 3)])
+    reads = {2: MomentState(cfg.lambda_max), 3: MomentState(cfg.lambda_max)}
+    for record in plan:
+        for block_id, q in zip(record.block_ids, record.q_blocks):
+            if block_id == 1:
+                reads[record.task_id].add_step(q, cfg.noise.sigma)
+    assert [state.steps for state in reads.values()] == [cfg.steps_per_task] * 2
+    eps_train = compose_epsilon(result.ledger.train_states[1], 1e-4)
+    expected = eps_train + compose_epsilon(reads[2], 1e-4) + compose_epsilon(reads[3], 1e-4)
+    report = result.ledger.report(1e-4, Policy.LEMMA1)
+    assert report.per_task[0] == expected
+    assert all(compose_epsilon(state, 1e-4) > 0
+               for state in result.ledger.ref_states_by_read.values())
+
+
+@pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
+def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
+    """At 784-256-256-10, above the gate, the training mask, the block
+    choice and the reference rows are drawn on the main thread, by the plan;
+    the helper thread builds the noise streams' generators and no other."""
+    base = make_synthetic(784, 10, 10, 0.6, seed=1)
+    stream = make_permuted_stream(base, 3, seed=1, ref_fraction=0.2)
+    cfg = private_cfg(mode, hidden_dims=(256, 256), epochs_per_task=1, ref_batch_size=8)
+    built = []  # (role, on the main thread)
+    real_rng, real_noise_rng = trainer._rng, dp.noise_rng
+
+    def recorded_rng(seed, *key):
+        built.append((key[0], threading.current_thread() is threading.main_thread()))
+        return real_rng(seed, *key)
+
+    def recorded_noise_rng(seed, address=()):
+        built.append((201, threading.current_thread() is threading.main_thread()))
+        return real_noise_rng(seed, address)
+
+    monkeypatch.setattr(trainer, "_rng", recorded_rng)
+    monkeypatch.setattr(dp, "noise_rng", recorded_noise_rng)
+    run_stream(stream, cfg)
+    roles = {role for role, _ in built}
+    assert {_ROLE_BATCH, _ROLE_REF_IDX, 201} <= roles
+    assert (_ROLE_BLOCK in roles) is (mode is Mode.DP_CL)
+    assert all(on_main for role, on_main in built if role != 201)
+    releases = 3 * 4 + 2 * 4  # a training release per step, a reference one from task 2
+    assert [on_main for role, on_main in built if role == 201] == [False] * releases
 
 
 @pytest.mark.parametrize("gate", [0, 1 << 16])
@@ -627,7 +670,7 @@ def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatc
     """The (_ROLE_BLOCK, task, step) generator is built once for each step
     that reads a memory, by the plan alone; dp_agem reads every block and
     draws no choice. The (_ROLE_REF_IDX, task, step, block) generator is
-    built once for each block a step reads. Gate 0 walks the plan on the
+    built once for each block a step reads. Gate 0 draws the noise on the
     helper thread."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
     built, rows_built = [], []
@@ -653,13 +696,13 @@ def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatc
 @pytest.mark.parametrize("mode", list(Mode))
 def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     """Charging the plan's records, in order, into a fresh ledger gives the
-    run's ledger bitwise, and each reference release gathers exactly the
-    rows of the blocks its record names, in the record's order; training
-    batches and evaluations also gather, so only the gathers of releases
-    that read a stored block are counted."""
+    run's ledger bitwise, and the releases gather exactly the rows the
+    records name: each record's training release its train_rows of its
+    task's training split (nothing when they are none), then its reference
+    release the rows of the blocks it names, in the record's order.
+    Evaluations also gather, so only the gathers inside a release count."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
     stream = small_stream(4)
-    refs = [ref for _, ref, _, _ in stream.tasks]
     records, releases, inside = [], [], []
     real_plan, real_release, real_gather = trainer._plan, trainer._release, TaskSplit.gather
 
@@ -671,12 +714,9 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     def recorded_release(*args, **kwargs):
         inside.append([])
         try:
-            g, record, z = real_release(*args, **kwargs)
+            return real_release(*args, **kwargs)
         finally:
-            read = inside.pop()
-        if read and all(any(split is ref for ref in refs) for split, _ in read):
-            releases.append((record, read))
-        return g, record, z
+            releases.append(inside.pop())
 
     def recorded_gather(self, idx, x_out, y_out):
         if inside:
@@ -689,10 +729,17 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     cfg = agem_cfg(epochs_per_task=2) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=2)
     result = run_stream(stream, cfg)
     assert len(records) == 4 * cfg.steps_per_task
-    assert [r for r in records if r.block_ids] == [record for record, _ in releases]
-    for record, read in releases:
-        assert [refs.index(split) + 1 for split, _ in read] == list(record.block_ids)
-        assert all(np.array_equal(idx, rows) for (_, idx), rows in zip(read, record.ref_rows))
+    planned = []
+    for record in records:
+        train = stream.tasks[record.task_id - 1][0]
+        planned.append([(train, record.train_rows)] if len(record.train_rows) else [])
+        if record.block_ids:
+            planned.append([(stream.tasks[i - 1][1], rows)
+                            for i, rows in zip(record.block_ids, record.ref_rows)])
+    assert len(releases) == len(planned)
+    for read, names in zip(releases, planned):
+        assert [split for split, _ in read] == [split for split, _ in names]
+        assert all(np.array_equal(idx, rows) for (_, idx), (_, rows) in zip(read, names))
     if mode is Mode.AGEM:
         return
     replay = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
@@ -702,7 +749,7 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
         replay.track_training_step(record.task_id, record.q_train)
         for block_id, q in zip(record.block_ids, record.q_blocks):
             replay.track_ref_step(record.task_id, block_id, q)
-    for table in ("train_states", "ref_states_by_task", "ref_states_by_block"):
+    for table in ("train_states", "ref_states_by_task", "ref_states_by_read"):
         ran, replayed_states = getattr(result.ledger, table), getattr(replay, table)
         assert list(ran) == list(replayed_states)
         for key, state in ran.items():
@@ -737,12 +784,13 @@ def released_ref_grad(net, blocks, task_id, step, cfg):
     record names, with its record and noise from a plan of that step alone
     (its training noise is drawn and left unused); returns the reference
     gradient and the record."""
-    plan = [r for r in trainer._plan(cfg, [(task_id, [len(b) for b in blocks])]) if r.step == step]
-    with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
-        record, z = noise.take(task_id, step)
-        noise.give(z)
+    plan = [r for r in trainer._plan(cfg, [(task_id, 0, [len(b) for b in blocks])])
+            if r.step == step]
+    with trainer._NoiseSource(cfg, np.empty((3, net.num_params))) as noise:
+        (record,) = noise.ahead(plan)
+        noise.give(noise.take())
         picks = [(blocks[i - 1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
-        g, _, z = _release(net, picks, cfg, noise, task_id, step, out=np.empty(net.num_params))
+        g, _ = _release(net, picks, cfg, noise, out=np.empty(net.num_params))
         return g, record
 
 
@@ -844,11 +892,11 @@ def test_clipped_gradients_respect_bound_pre_noise():
                       hidden_dims=(8,), sampling_rate=0.5, epochs_per_task=2, seed=9)
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
-    plan = trainer._plan(cfg, [(1, [])])
-    with trainer._NoiseSource(cfg, plan, np.empty((3, net.num_params))) as noise:
-        train = stream.tasks[0][0]
-        g, _, _ = _release(net, [(train, np.arange(len(train)))], cfg, noise, 1, 0,
-                           out=np.empty(net.num_params))
+    train = stream.tasks[0][0]
+    with trainer._NoiseSource(cfg, np.empty((3, net.num_params))) as noise:
+        list(noise.ahead(trainer._plan(cfg, [(1, len(train), [])])))
+        g, _ = _release(net, [(train, np.arange(len(train)))], cfg, noise,
+                        out=np.empty(net.num_params))
     assert np.linalg.norm(g) <= 0.05 + 1e-12
 
 
