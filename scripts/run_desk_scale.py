@@ -69,7 +69,7 @@ def main():
     for policy in Policy:
         report = private.ledger.report(1e-4, policy)
         path = os.path.join(args.out, f"private_budget_{policy.value}.csv")
-        report.write_csv(path, private.ledger.task_budgets(1e-4))
+        report.write_csv(path)
         print(f"private total epsilon ({policy.value}, delta=1e-4): {report.total:.3f}")
     print(f"artifacts written to {args.out}/")
     return EXIT_OK

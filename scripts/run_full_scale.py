@@ -71,8 +71,7 @@ def main():
     if mode is not Mode.AGEM:
         for policy in Policy:
             report = result.ledger.report(1e-4, policy)
-            report.write_csv(os.path.join(args.out, f"{args.mode}_budget_{policy.value}.csv"),
-                             result.ledger.task_budgets(1e-4))
+            report.write_csv(os.path.join(args.out, f"{args.mode}_budget_{policy.value}.csv"))
             print(f"total epsilon ({policy.value}, delta=1e-4): {report.total:.3f}")
     print(f"artifacts written to {args.out}/")
     return EXIT_OK

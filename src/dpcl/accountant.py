@@ -12,11 +12,11 @@ with mu = (1-q) N(0, sigma^2) + q N(1, sigma^2) and mu0 = N(0, sigma^2).
 Moments add across steps; the (eps, delta) conversion is the standard tail
 bound eps = min_lam (alpha(lam) - ln delta) / lam.
 
-A step's moment vector depends only on (q, sigma), so each ledger computes
-it once per distinct (q, sigma), in one array pass over all orders, and
-every later step adds the stored vector. The states still sum step by step,
-so the moments are bitwise what re-evaluating the closed form at every step
-gives.
+A step's moment vector depends only on (q, sigma), so a ledger counts its
+steps per (task, block, q) and computes each q's vector once, in one array
+pass over all orders. Every epsilon is composed from those counts when it
+is reported, as the sum over q of n_q * alpha_step(q): one multiply per
+rate, where summing step by step would round at every step.
 
 `_log_gamma` (Cephes `lgam`, behind `scipy.special.gammaln`) and `_logsumexp_rows`
 (scipy 1.17's `logsumexp` on real input) repeat scipy's float operations in
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -102,61 +103,39 @@ def step_log_moment(q, sigma, lam):
     return float(alpha[0]) if lams.ndim == 0 else alpha
 
 
-@dataclass
-class MomentState:
-    """Cumulative log moments alpha(lam) for lam = 1..lambda_max."""
-
-    lambda_max: int = DEFAULT_LAMBDA_MAX
-    log_moments: np.ndarray = None
-    steps: int = 0
-    # (q, sigma) -> per-step moment vector; states sharing it share lambda_max
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.lambda_max < 1:
-            raise ConfigError("lambda_max must be >= 1")
-        if self.log_moments is None:
-            self.log_moments = np.zeros(self.lambda_max)
-
-    def add_step(self, q, sigma):
-        vec = self.memo.get((q, sigma))
-        if vec is None:
-            vec = self.memo[q, sigma] = step_log_moment(
-                q, sigma, np.arange(1, self.lambda_max + 1))
-        self.log_moments = self.log_moments + vec
-        self.steps += 1
-
-
-def compose_epsilon(state: MomentState, delta) -> float:
-    """Tail-bound conversion: eps = min over lam of (alpha(lam) - ln delta)/lam.
-
-    A state with zero steps has released nothing and composes to eps = 0.
-    """
+def compose_epsilon(log_moments, delta) -> float:
+    """Tail-bound conversion of the log moments alpha(1..lambda_max):
+    eps = min over lam of (alpha(lam) - ln delta)/lam."""
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must be in (0, 1)")
-    if state.steps == 0:
-        return 0.0
-    lams = np.arange(1, state.lambda_max + 1)
-    return float(np.min((state.log_moments - np.log(delta)) / lams))
+    lams = np.arange(1, len(log_moments) + 1)
+    return float(np.min((log_moments - np.log(delta)) / lams))
 
 
 @dataclass
 class TaskBudget:
     task_id: int
     eps_train: float  # budget spent on the task's own training data
-    eps_ref: float    # budget spent computing reference gradients at this task
+    eps_ref: float    # the reference budget the policy charges to this task
 
 
 @dataclass
 class BudgetReport:
-    per_task: list
-    total: float
+    """One row per task; a task's charge at T is its row's eps_train + eps_ref."""
 
-    def write_csv(self, path, budgets):
+    rows: list
+    per_task: list = field(init=False)
+    total: float = field(init=False)
+
+    def __post_init__(self):
+        self.per_task = [b.eps_train + b.eps_ref for b in self.rows]
+        self.total = float(sum(self.per_task))
+
+    def write_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["task_id", "eps_train", "eps_ref", "eps_task_at_T", "total"])
-            for b, eps_at_t in zip(budgets, self.per_task):
+            for b, eps_at_t in zip(self.rows, self.per_task):
                 w.writerow([b.task_id, repr(b.eps_train), repr(b.eps_ref),
                             repr(eps_at_t), repr(self.total)])
 
@@ -169,79 +148,73 @@ def _check_budgets(budgets, t):
 def budget_lemma1(budgets, t) -> BudgetReport:
     """Naive composition: eps_i(T) = eps_i + (T - i) * eps'_i (task T adds 0, not 0 * inf)."""
     _check_budgets(budgets, t)
-    per_task = [b.eps_train + ((t - b.task_id) * b.eps_ref if b.task_id < t else 0.0)
-                for b in budgets[:t]]
-    return BudgetReport(per_task, float(sum(per_task)))
+    return BudgetReport([TaskBudget(b.task_id, b.eps_train,
+                                    (t - b.task_id) * b.eps_ref if b.task_id < t else 0.0)
+                         for b in budgets[:t]])
 
 
 def budget_lemma2(budgets, t) -> BudgetReport:
-    """Single-block composition: eps_i(T) = eps_i + eps'_i.
-
-    Task 1 is charged no reference budget: the memory is empty when task 1
-    trains.
-    """
+    """Single-block composition: eps_i(T) = eps_i + eps'_i; task 1 is charged no
+    reference budget, because the memory is empty when task 1 trains."""
     _check_budgets(budgets, t)
-    per_task = []
-    for b in budgets[:t]:
-        ref = b.eps_ref if b.task_id > 1 else 0.0
-        per_task.append(b.eps_train + ref)
-    return BudgetReport(per_task, float(sum(per_task)))
+    return BudgetReport([TaskBudget(b.task_id, b.eps_train, b.eps_ref if b.task_id > 1 else 0.0)
+                         for b in budgets[:t]])
 
 
 @dataclass
 class PrivacyLedger:
-    """Per-task and per-read moment states for one training run.
-
-    Training steps charge the task's train state, reference steps the
-    reading task (eps'_t, lemma 2) and the (reading task, block) pair: lemma 1
-    charges block i at task T eps_i plus the eps of each pair (t, i), t > i."""
+    """The charged steps of one training run, counted per (task, block, q):
+    block 0 is the task's own training release, block i >= 1 its reads of
+    stored block i. Lemma 2 charges task t eps_t plus the eps of all its
+    reads (eps'_t); lemma 1 charges block i at task T eps_i plus the eps of
+    each later task's reads of it, each (t, i), t > i, composed apart."""
 
     sigma: float
     lambda_max: int = DEFAULT_LAMBDA_MAX
-    train_states: dict = field(default_factory=dict)
-    ref_states_by_task: dict = field(default_factory=dict)
-    ref_states_by_read: dict = field(default_factory=dict)  # (reading task, block) -> state
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _state(self, table, key):
-        if key not in table:
-            table[key] = MomentState(self.lambda_max, memo=self._memo)
-        return table[key]
+    charges: Counter = field(default_factory=Counter, init=False)  # (task, block, q) -> steps
+    tasks: int = field(default=0, init=False)  # tasks 1..tasks are registered
+    # q -> its per-step moment vector, computed at q's first charge
+    _alphas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def register_task(self, task_id):
-        self._state(self.train_states, task_id)
-        self._state(self.ref_states_by_task, task_id)
+        self.tasks = max(self.tasks, task_id)
+
+    def _charge(self, task_id, block_id, q):
+        if not 1 <= task_id <= self.tasks:
+            raise StateError(f"unknown task {task_id}")
+        if q not in self._alphas:
+            self._alphas[q] = step_log_moment(q, self.sigma, np.arange(1, self.lambda_max + 1))
+        self.charges[task_id, block_id, q] += 1
 
     def track_training_step(self, task_id, q_train):
-        if task_id not in self.train_states:
-            raise StateError(f"unknown task {task_id}")
-        self.train_states[task_id].add_step(q_train, self.sigma)
+        self._charge(task_id, 0, q_train)
 
     def track_ref_step(self, task_id, chosen_block_id, q_ref_effective):
-        if task_id not in self.ref_states_by_task:
-            raise StateError(f"unknown task {task_id}")
-        if chosen_block_id >= task_id:
+        if not 1 <= chosen_block_id < task_id:
             raise StateError("reference block must belong to an earlier task")
-        self.ref_states_by_task[task_id].add_step(q_ref_effective, self.sigma)
-        self._state(self.ref_states_by_read, (task_id, chosen_block_id)).add_step(
-            q_ref_effective, self.sigma)
+        self._charge(task_id, chosen_block_id, q_ref_effective)
 
-    def task_budgets(self, delta) -> list:
-        return [
-            TaskBudget(
-                task_id,
-                compose_epsilon(self.train_states[task_id], delta),
-                compose_epsilon(self.ref_states_by_task[task_id], delta),
-            )
-            for task_id in sorted(self.train_states)
-        ]
+    def log_moments(self, rates):
+        """alpha(1..lambda_max) of the steps rates counts (q -> n_q): the sum
+        over q of n_q * alpha_step(q), in increasing q."""
+        return sum((n * self._alphas[q] for q, n in sorted(rates.items())),
+                   np.zeros(self.lambda_max))
+
+    def epsilon(self, task_id, blocks, delta) -> float:
+        """eps of task_id's charges to blocks; 0 without any, which released nothing."""
+        rates = Counter()
+        for (t, b, q), n in self.charges.items():
+            if t == task_id and b in blocks:
+                rates[q] += n
+        eps = compose_epsilon(self.log_moments(rates), delta)
+        return eps if rates else 0.0
 
     def report(self, delta, policy: Policy) -> BudgetReport:
-        budgets = self.task_budgets(delta)
-        if policy is Policy.LEMMA2:
-            return budget_lemma2(budgets, len(budgets))
-        _check_budgets(budgets, len(budgets))
-        per_task = [b.eps_train for b in budgets]
-        for (_, block_id), state in self.ref_states_by_read.items():
-            per_task[block_id - 1] += compose_epsilon(state, delta)
-        return BudgetReport(per_task, float(sum(per_task)))
+        rows, last = [], self.tasks
+        for i in range(1, last + 1):
+            if policy is Policy.LEMMA2:
+                eps_ref = self.epsilon(i, range(1, i), delta)
+            else:
+                eps_ref = sum((self.epsilon(t, (i,), delta) for t in range(i + 1, last + 1)), 0.0)
+            rows.append(TaskBudget(i, self.epsilon(i, (0,), delta), eps_ref))
+        return BudgetReport(rows)

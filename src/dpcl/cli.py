@@ -16,7 +16,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .accountant import DEFAULT_LAMBDA_MAX, Policy, TaskBudget, budget_lemma1, budget_lemma2
+from .accountant import Policy, TaskBudget, budget_lemma1, budget_lemma2
 from .data import load_idx_archive, make_permuted_stream, make_synthetic
 from .dp import NoiseConfig
 from .errors import ConfigError, NumericError
@@ -29,28 +29,30 @@ EXIT_NUMERIC = 3
 # what building a stream and config raises on bad input: ConfigError, InputError
 # and ParseError are ValueErrors; OSError is a missing or unreadable file
 SETUP_ERRORS = (ValueError, OSError)
+_TRAIN = TrainConfig()  # the training defaults of `run` are its field defaults
 
 
 @dataclass
 class RunSpec:
     """Everything needed to reproduce one `run` invocation, and the only home
     of the `run` options: build_parser makes a flag of each field and passes
-    on just the flags given, so the defaults are these. A run without a seed
-    draws one from OS entropy and does not record it: whoever holds the seed
-    can regenerate every noise draw, and no epsilon holds against them."""
+    on just the flags given, so the defaults are these, the training ones
+    TrainConfig's. A run without a seed draws one from OS entropy and does
+    not record it: whoever holds the seed can regenerate every noise draw,
+    and no epsilon holds against them."""
 
-    mode: str = Mode.DP_CL.value
+    mode: str = _TRAIN.mode.value
     tasks: int = 5
-    epochs: int = 1
+    epochs: int = _TRAIN.epochs_per_task
     batch: int | None = None
-    ref_batch: int = 50
-    sampling_rate: float = 0.1
-    sigma: float = 1.0
-    clip: float = 0.1
-    delta: float = 1e-4
-    lambda_max: int = DEFAULT_LAMBDA_MAX
-    policy: str = Policy.LEMMA2.value
-    projection: str = ProjectionRule.ALWAYS_EQ2.value
+    ref_batch: int = _TRAIN.ref_batch_size
+    sampling_rate: float = _TRAIN.sampling_rate
+    sigma: float = _TRAIN.noise.sigma
+    clip: float = _TRAIN.noise.clip_bound
+    delta: float = _TRAIN.delta
+    lambda_max: int = _TRAIN.lambda_max
+    policy: str = _TRAIN.policy.value
+    projection: str = _TRAIN.projection_rule.value
     seed: int | None = None
     out: str = "runs/out"
     images: str | None = None
@@ -62,9 +64,9 @@ class RunSpec:
     synth_per_class: int = 60
     synth_margin: float = 0.6
     ref_fraction: float = 0.1
-    hidden: str = "64,64"
-    lca_beta: int = 10
-    learning_rate: float = 0.1
+    hidden: str = ",".join(map(str, _TRAIN.hidden_dims))
+    lca_beta: int = _TRAIN.lca_beta
+    learning_rate: float = _TRAIN.learning_rate
 
     def manifest_lines(self):
         values = {**vars(self), "seed": "unrecorded" if self.seed is None else self.seed}
@@ -161,8 +163,7 @@ def cmd_run(spec: RunSpec) -> int:
             beta = min(cfg.lca_beta, len(result.curve) - 1)
             w.writerow(["lca", repr(lca(result.curve, beta))])
             w.writerow(["final_params_sha256", hashlib.sha256(result.net.params).hexdigest()])
-        result.report.write_csv(out / "budget_report.csv",
-                                result.ledger.task_budgets(cfg.delta))
+        result.report.write_csv(out / "budget_report.csv")
         with open(out / "run_manifest.cfg", "w") as f:
             f.write("\n".join(spec.manifest_lines()) + "\n")
     except OSError as exc:

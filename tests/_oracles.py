@@ -12,18 +12,22 @@ which read the net's own batch forward pass so that finite differences of
 loss test the backprop of exactly that function and the chunked accuracy is
 checked against one pass over the whole split; add_noise, which draws the
 package's own addressed noise; and gathered, which reads a split through
-its own gather, the one way to read one. write_idx_archive is the inverse
+its own gather, the one way to read one; charged_rates, which reads the
+ledger's own table; and counted_moments, which composes counted steps with
+the package's closed-form moment vectors. write_idx_archive is the inverse
 of the archive loader, used to build fixtures; make_synthetic_reference is
 the synthetic generator as first written, three arrays at once.
 """
 
 import functools
 import struct
+from collections import Counter
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
+from dpcl.accountant import step_log_moment
 from dpcl.data import IMAGE_MAGIC, LABEL_MAGIC, Dataset
 from dpcl.dp import NoiseConfig, draw_noise
 from dpcl.errors import InputError, NumericError, StateError
@@ -236,6 +240,31 @@ def plan_reads(n_blocks, block_size, k, steps, seed):
     read = read.reshape(n_blocks, block_size)
     chosen.flags.writeable = read.flags.writeable = False
     return chosen, read
+
+
+def charged_rates(ledger, task_id, blocks) -> Counter:
+    """q -> steps of task_id's charges to any of blocks (block 0 is its
+    training release), read off the ledger's (task, block, q) counts."""
+    rates = Counter()
+    for (t, b, q), n in ledger.charges.items():
+        if t == task_id and b in blocks:
+            rates[q] += n
+    return rates
+
+
+def counted_moments(rates, sigma, lambda_max):
+    """The log moments of the steps rates counts, two ways: the sum over q,
+    in increasing q, of n_q * alpha_step(q), which is the ledger's
+    composition, and the sum of one alpha_step(q) per step, rates in
+    increasing q, which is how a step-by-step state summed them."""
+    lams = np.arange(1, lambda_max + 1)
+    counted, sequential = np.zeros(lambda_max), np.zeros(lambda_max)
+    for q, n in sorted(rates.items()):
+        vec = step_log_moment(q, sigma, lams)
+        counted = counted + n * vec
+        for _ in range(n):
+            sequential = sequential + vec
+    return counted, sequential
 
 
 def membership_expectation_check(blocks, q, trials, seed=0) -> dict:

@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 
-from dpcl.accountant import MomentState, compose_epsilon, step_log_moment
+from dpcl.accountant import compose_epsilon, step_log_moment
 from dpcl.cli import budget_curve_table
 from dpcl.data import Dataset, make_synthetic, make_permuted_stream
 from dpcl.dp import NoiseConfig
@@ -138,11 +138,8 @@ def test_accountant_oracle_equivalence():
                            - quad_log_moment(q, sigma, lam)) <= 1e-6
 
     def eps(q, sigma, steps, lambda_max=16, delta=1e-5):
-        state = MomentState(lambda_max)
-        state.log_moments = steps * np.array(
-            [step_log_moment(q, sigma, lam) for lam in range(1, lambda_max + 1)])
-        state.steps = steps
-        return compose_epsilon(state, delta)
+        return compose_epsilon(steps * np.array(
+            [step_log_moment(q, sigma, lam) for lam in range(1, lambda_max + 1)]), delta)
 
     qs = [0.01, 0.05, 0.1, 0.3, 0.6]
     sigmas = [0.7, 1.0, 1.5, 2.5, 4.0]

@@ -1,4 +1,5 @@
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.special import gammaln, logsumexp
 
 import dpcl.accountant as accountant
 from dpcl.accountant import (
-    MomentState,
     Policy,
     PrivacyLedger,
     TaskBudget,
@@ -17,7 +17,7 @@ from dpcl.accountant import (
 )
 from dpcl.errors import ConfigError, InputError, StateError
 
-from _oracles import per_order_log_moment, quad_epsilon, quad_log_moment
+from _oracles import charged_rates, per_order_log_moment, quad_epsilon, quad_log_moment
 
 
 def constant_budgets(n, eps=1.0, eps_ref=1.0):
@@ -25,11 +25,8 @@ def constant_budgets(n, eps=1.0, eps_ref=1.0):
 
 
 def epsilon_of(q, sigma, steps, delta, lambda_max=32):
-    state = MomentState(lambda_max)
-    state.log_moments = steps * np.array(
-        [step_log_moment(q, sigma, lam) for lam in range(1, lambda_max + 1)])
-    state.steps = steps
-    return compose_epsilon(state, delta)
+    return compose_epsilon(steps * np.array(
+        [step_log_moment(q, sigma, lam) for lam in range(1, lambda_max + 1)]), delta)
 
 
 def test_step_log_moment_vanishes_as_q_to_zero():
@@ -99,7 +96,10 @@ def test_step_log_moment_vector_matches_per_order_oracle():
 
 
 def test_compose_zero_steps_is_zero():
-    assert compose_epsilon(MomentState(16), 1e-5) == 0.0
+    ledger = PrivacyLedger(sigma=1.0, lambda_max=16)
+    ledger.register_task(1)
+    assert ledger.epsilon(1, (0,), 1e-5) == 0.0
+    assert ledger.report(1e-5, Policy.LEMMA2).rows == [TaskBudget(1, 0.0, 0.0)]
 
 
 def test_compose_monotone_in_steps():
@@ -116,9 +116,14 @@ def test_compose_matches_quadrature_oracle():
 
 def test_compose_rejects_bad_delta():
     with pytest.raises(ConfigError):
-        compose_epsilon(MomentState(4), 0.0)
+        compose_epsilon(np.zeros(4), 0.0)
     with pytest.raises(ConfigError):
-        compose_epsilon(MomentState(4), 1.0)
+        compose_epsilon(np.zeros(4), 1.0)
+    ledger = PrivacyLedger(sigma=1.0, lambda_max=4)
+    ledger.register_task(1)
+    for policy in Policy:  # also where no step was charged
+        with pytest.raises(ConfigError):
+            ledger.report(1.0, policy)
 
 
 def test_epsilon_monotonicity_grid():
@@ -203,9 +208,8 @@ def test_ledger_single_step_matches_fresh_state():
     ledger = PrivacyLedger(sigma=1.0, lambda_max=16)
     ledger.register_task(1)
     ledger.track_training_step(1, 0.1)
-    fresh = MomentState(16)
-    fresh.add_step(0.1, 1.0)
-    assert ledger.task_budgets(1e-4)[0].eps_train == pytest.approx(
+    fresh = step_log_moment(0.1, 1.0, np.arange(1, 17))
+    assert ledger.report(1e-4, Policy.LEMMA2).rows[0].eps_train == pytest.approx(
         compose_epsilon(fresh, 1e-4), abs=1e-12)
 
 
@@ -214,12 +218,13 @@ def test_ledger_tasks_independent():
     ledger.register_task(1)
     ledger.register_task(2)
     ledger.track_training_step(1, 0.1)
-    eps1_before = ledger.task_budgets(1e-4)[0].eps_train
+    eps1_before = ledger.report(1e-4, Policy.LEMMA2).rows[0].eps_train
     for _ in range(10):
         ledger.track_training_step(2, 0.1)
         ledger.track_ref_step(2, 1, 0.05)
-    assert ledger.task_budgets(1e-4)[0].eps_train == eps1_before
-    assert ledger.task_budgets(1e-4)[0].eps_ref == 0.0
+    first = ledger.report(1e-4, Policy.LEMMA2).rows[0]
+    assert first.eps_train == eps1_before
+    assert first.eps_ref == 0.0  # task 1 read no stored block
 
 
 def test_ledger_moments_additive():
@@ -228,7 +233,9 @@ def test_ledger_moments_additive():
     for _ in range(100):
         ledger.track_training_step(1, 0.05)
     single = np.array([step_log_moment(0.05, 1.0, lam) for lam in range(1, 9)])
-    assert np.allclose(ledger.train_states[1].log_moments, 100 * single, rtol=1e-12)
+    assert ledger.charges == Counter({(1, 0, 0.05): 100})
+    moments = ledger.log_moments(charged_rates(ledger, 1, (0,)))
+    assert np.allclose(moments, 100 * single, rtol=1e-12)
 
 
 def test_ledger_rejects_unknown_ids():
@@ -244,24 +251,34 @@ def test_report_csv_round_trip(tmp_path):
     budgets = constant_budgets(3, eps=0.4, eps_ref=0.2)
     report = budget_lemma2(budgets, 3)
     path = tmp_path / "budget.csv"
-    report.write_csv(path, budgets)
+    report.write_csv(path)
     with open(path) as f:
         rows = list(csv.DictReader(f))
     assert [int(r["task_id"]) for r in rows] == [1, 2, 3]
+    assert [float(r["eps_train"]) for r in rows] == [0.4] * 3
+    assert [float(r["eps_ref"]) for r in rows] == [0.0, 0.2, 0.2]
     assert [float(r["eps_task_at_T"]) for r in rows] == report.per_task
     assert float(rows[0]["total"]) == report.total
 
 
-def test_memoized_state_matches_uncached_loop_bitwise():
+def test_counted_moments_are_one_multiply_per_rate():
     # interleaved rates, as a stored block sees across tasks
     qs = [0.1, 0.05, 0.1, 1 / 3 * 0.2, 0.05, 0.1, 1 / 3 * 0.2] * 5
-    state = MomentState(16)
-    expected = np.zeros(16)
+    ledger = PrivacyLedger(sigma=1.3, lambda_max=16)
+    ledger.register_task(2)
+    sequential = np.zeros(16)
     for q in qs:
-        state.add_step(q, 1.3)
-        expected = expected + step_log_moment(q, 1.3, np.arange(1, 17))
-    assert state.steps == len(qs)
-    assert np.array_equal(state.log_moments, expected)
+        ledger.track_ref_step(2, 1, q)
+        sequential = sequential + step_log_moment(q, 1.3, np.arange(1, 17))
+    counts = charged_rates(ledger, 2, (1,))
+    assert counts == Counter(qs) and sum(counts.values()) == len(qs)
+    expected = np.zeros(16)
+    for q in sorted(counts):
+        expected = expected + counts[q] * step_log_moment(q, 1.3, np.arange(1, 17))
+    moments = ledger.log_moments(counts)
+    assert np.array_equal(moments, expected)
+    assert np.all(np.abs(moments - sequential) <= 1e-12 * np.abs(sequential))
+    assert ledger.epsilon(2, (1,), 1e-5) == compose_epsilon(expected, 1e-5)
 
 
 def _track_three_tasks(ledger, steps_per_task):
@@ -349,7 +366,7 @@ def test_sigma_whose_square_underflows_gives_infinite_epsilon(q):
     ledger.register_task(2)
     ledger.track_training_step(1, q)
     ledger.track_ref_step(2, 1, q)
-    (first, second) = ledger.task_budgets(1e-5)
+    (first, second) = ledger.report(1e-5, Policy.LEMMA2).rows
     assert first.eps_train == second.eps_ref == np.inf
     for policy in Policy:
         report = ledger.report(1e-5, policy)

@@ -23,7 +23,8 @@ from dpcl.cli import (
     cmd_run,
     main,
 )
-from dpcl.trainer import Mode, ProjectionRule
+from dpcl.dp import NoiseConfig
+from dpcl.trainer import Mode, ProjectionRule, TrainConfig
 
 from _oracles import write_idx_archive
 
@@ -216,6 +217,37 @@ def test_run_budget_report_matches_lemma2_composition(tmp_path):
     expected = budget_lemma2(budgets, len(budgets))
     assert float(rows[0]["total"]) == pytest.approx(expected.total, abs=1e-9)
     assert [float(r["eps_task_at_T"]) for r in rows] == pytest.approx(expected.per_task)
+
+
+@pytest.mark.parametrize("policy", ["lemma1", "lemma2"])
+@pytest.mark.parametrize("mode", ["dp_cl", "dp_agem"])
+def test_budget_report_rows_add_up(tmp_path, mode, policy):
+    """Each row of budget_report.csv holds what the policy charges its task:
+    eps_train + eps_ref is eps_task_at_T, and the rows sum to the total.
+    Every value is a float repr, 0.0 included."""
+    out = tmp_path / "run"
+    args = ["--mode", mode, "--policy", policy, "--tasks", "3", "--seed", "0", "--out", str(out)]
+    assert main(["run", *args]) == EXIT_OK
+    with open(out / "budget_report.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["task_id"] for r in rows] == ["1", "2", "3"]
+    for r in rows:
+        eps = {k: float(r[k]) for k in ("eps_train", "eps_ref", "eps_task_at_T", "total")}
+        assert all(r[k] == repr(v) for k, v in eps.items())
+        assert eps["eps_train"] + eps["eps_ref"] == eps["eps_task_at_T"]
+    assert sum(float(r["eps_task_at_T"]) for r in rows) == float(rows[0]["total"])
+    # lemma 1 charges reads to the block read, lemma 2 to the reading task
+    no_reads = rows[-1] if policy == "lemma1" else rows[0]
+    assert no_reads["eps_ref"] == "0.0"
+    assert all(float(r["eps_ref"]) > 0 for r in rows if r is not no_reads)
+
+
+def test_run_defaults_are_the_train_config_defaults():
+    spec = RunSpec(seed=0)
+    noise = NoiseConfig(sigma=spec.sigma, clip_bound=spec.clip, seed=0)
+    assert noise == NoiseConfig(seed=0)
+    expected = TrainConfig(noise=NoiseConfig(seed=0), seed=0)
+    assert dpcl.cli._build_config(spec, 600, noise) == expected
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

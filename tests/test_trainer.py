@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcl import dp, nn, trainer
-from dpcl.accountant import MomentState, Policy, PrivacyLedger, compose_epsilon
+from dpcl.accountant import Policy, PrivacyLedger, TaskBudget, compose_epsilon
 from dpcl.data import Dataset, TaskSplit, TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.errors import ConfigError, NumericError
@@ -33,7 +34,7 @@ from dpcl.trainer import (
     run_stream,
 )
 
-from _oracles import add_noise, gathered
+from _oracles import add_noise, charged_rates, counted_moments, gathered
 
 
 def small_stream(n_tasks=3, d=8, classes=3, per_class=20, seed=0):
@@ -549,16 +550,19 @@ def test_first_task_never_touches_memory():
     cfg = TrainConfig(mode=Mode.DP_CL, hidden_dims=(8,), sampling_rate=0.25,
                       epochs_per_task=2, seed=1)
     result = run_stream(stream, cfg)
-    assert result.ledger.ref_states_by_task[1].steps == 0
-    assert result.ledger.task_budgets(cfg.delta)[0].eps_ref == 0.0
-    assert result.report.total == result.ledger.task_budgets(cfg.delta)[0].eps_train
+    assert [block for _, block, _ in result.ledger.charges] == [0]  # training steps only
+    (row,) = result.report.rows
+    assert row.eps_ref == 0.0
+    assert result.report.total == row.eps_train
 
 
-def replayed(q, sigma, steps, lambda_max):
-    state = MomentState(lambda_max)
-    for _ in range(steps):
-        state.add_step(q, sigma)
-    return state
+def assert_counted(ledger, rates, sigma):
+    """The ledger composes rates (q -> steps) bitwise as the sum of n_q *
+    alpha_step(q), and within 1e-12 of summing one alpha_step per step."""
+    counted, sequential = counted_moments(rates, sigma, ledger.lambda_max)
+    moments = ledger.log_moments(rates)
+    assert np.array_equal(moments, counted)
+    assert np.all(np.abs(moments - sequential) <= 1e-12 * np.abs(sequential))
 
 
 def test_ledger_step_counts_match_loop_trips():
@@ -567,37 +571,38 @@ def test_ledger_step_counts_match_loop_trips():
                       epochs_per_task=5, ref_batch_size=4, seed=2)  # 20 steps per task
     assert cfg.steps_per_task == 20
     result = run_stream(stream, cfg)
-    assert [result.ledger.train_states[t].steps for t in (1, 2, 3)] == [20, 20, 20]
-    assert [result.ledger.ref_states_by_task[t].steps for t in (1, 2, 3)] == [0, 20, 20]
+    ledger = result.ledger
+    assert [sum(charged_rates(ledger, t, (0,)).values()) for t in (1, 2, 3)] == [20, 20, 20]
+    reads = [charged_rates(ledger, t, range(1, t)) for t in (1, 2, 3)]
+    assert [sum(rates.values()) for rates in reads] == [0, 20, 20]
     # one block of t-1 drawn per step, then k of its |block| examples
     k, block = cfg.ref_batch_size, len(stream.tasks[0][1])
     assert k < block
     for t in (2, 3):
         q = (1.0 / (t - 1)) * (k / block)
-        expected = replayed(q, cfg.noise.sigma, 20, cfg.lambda_max)
-        assert np.array_equal(result.ledger.ref_states_by_task[t].log_moments,
-                              expected.log_moments)
+        assert reads[t - 1] == Counter({q: 20})
+        assert_counted(ledger, reads[t - 1], cfg.noise.sigma)
 
 
 def test_dp_agem_charges_every_block():
     stream = small_stream(3)
     cfg = TrainConfig(mode=Mode.DP_AGEM, hidden_dims=(8,), sampling_rate=0.25,
                       epochs_per_task=5, ref_batch_size=4, seed=2)
-    result = run_stream(stream, cfg)
-    by_read = result.ledger.ref_states_by_read  # (reading task, block) -> state
-    assert list(by_read) == [(2, 1), (3, 1), (3, 2)]
+    ledger = run_stream(stream, cfg).ledger
+    pairs = list(dict.fromkeys((t, b) for t, b, _ in ledger.charges if b))  # (reader, block)
+    assert pairs == [(2, 1), (3, 1), (3, 2)]
     # every block is read each step, at rate k/|block| with no block draw
     k, block = cfg.ref_batch_size, len(stream.tasks[0][1])
     assert k < block
     q = k / block
     for t, steps in ((2, 20), (3, 40)):
-        expected = replayed(q, cfg.noise.sigma, steps, cfg.lambda_max)
-        assert np.array_equal(result.ledger.ref_states_by_task[t].log_moments,
-                              expected.log_moments)
-    expected = replayed(q, cfg.noise.sigma, 20, cfg.lambda_max)
-    for state in by_read.values():
-        assert state.steps == 20
-        assert np.array_equal(state.log_moments, expected.log_moments)
+        reads = charged_rates(ledger, t, range(1, t))
+        assert reads == Counter({q: steps})
+        assert_counted(ledger, reads, cfg.noise.sigma)
+    for t, i in pairs:
+        reads = charged_rates(ledger, t, (i,))
+        assert reads == Counter({q: 20})
+        assert_counted(ledger, reads, cfg.noise.sigma)
 
 
 @pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
@@ -620,18 +625,19 @@ def test_lemma1_charges_block_one_what_each_later_task_paid_to_read_it():
     result = run_stream(stream, cfg)
     sizes = [len(ref) for _, ref, _, _ in stream.tasks]
     plan = trainer._plan(cfg, [(t, len(stream.tasks[t - 1][0]), sizes[:t - 1]) for t in (1, 2, 3)])
-    reads = {2: MomentState(cfg.lambda_max), 3: MomentState(cfg.lambda_max)}
+    reads = {2: Counter(), 3: Counter()}  # reading task -> {q: steps} of its reads of block 1
     for record in plan:
         for block_id, q in zip(record.block_ids, record.q_blocks):
             if block_id == 1:
-                reads[record.task_id].add_step(q, cfg.noise.sigma)
-    assert [state.steps for state in reads.values()] == [cfg.steps_per_task] * 2
-    eps_train = compose_epsilon(result.ledger.train_states[1], 1e-4)
-    expected = eps_train + compose_epsilon(reads[2], 1e-4) + compose_epsilon(reads[3], 1e-4)
+                reads[record.task_id][q] += 1
+    assert [sum(rates.values()) for rates in reads.values()] == [cfg.steps_per_task] * 2
+    eps_train = result.ledger.epsilon(1, (0,), 1e-4)
+    eps_reads = [compose_epsilon(counted_moments(rates, cfg.noise.sigma, cfg.lambda_max)[0], 1e-4)
+                 for rates in reads.values()]
     report = result.ledger.report(1e-4, Policy.LEMMA1)
-    assert report.per_task[0] == expected
-    assert all(compose_epsilon(state, 1e-4) > 0
-               for state in result.ledger.ref_states_by_read.values())
+    assert report.rows[0] == TaskBudget(1, eps_train, 0.0 + eps_reads[0] + eps_reads[1])
+    assert report.per_task[0] == eps_train + (0.0 + eps_reads[0] + eps_reads[1])
+    assert all(result.ledger.epsilon(t, (i,), 1e-4) > 0 for t, i in ((2, 1), (3, 1), (3, 2)))
 
 
 @pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
@@ -696,8 +702,8 @@ def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatc
 @pytest.mark.parametrize("mode", list(Mode))
 def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     """Charging the plan's records, in order, into a fresh ledger gives the
-    run's ledger bitwise, and the releases gather exactly the rows the
-    records name: each record's training release its train_rows of its
+    run's (task, block, q) counts exactly, and the releases gather exactly
+    the rows the records name: each record's training release its train_rows of its
     task's training split (nothing when they are none), then its reference
     release the rows of the blocks it names, in the record's order.
     Evaluations also gather, so only the gathers inside a release count."""
@@ -749,12 +755,7 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
         replay.track_training_step(record.task_id, record.q_train)
         for block_id, q in zip(record.block_ids, record.q_blocks):
             replay.track_ref_step(record.task_id, block_id, q)
-    for table in ("train_states", "ref_states_by_task", "ref_states_by_read"):
-        ran, replayed_states = getattr(result.ledger, table), getattr(replay, table)
-        assert list(ran) == list(replayed_states)
-        for key, state in ran.items():
-            assert state.steps == replayed_states[key].steps
-            assert np.array_equal(state.log_moments, replayed_states[key].log_moments)
+    assert list(result.ledger.charges.items()) == list(replay.charges.items())
 
 
 def test_dp_cl_and_dp_agem_coincide_with_single_block():
