@@ -18,7 +18,7 @@ import numpy as np
 
 from .accountant import Policy, TaskBudget, budget_lemma1, budget_lemma2
 from .data import load_idx_archive, make_permuted_stream, make_synthetic
-from .dp import NoiseConfig
+from .dp import NoiseConfig, rng
 from .errors import ConfigError, NumericError
 from .metrics import average_accuracy, forgetting, lca
 from .trainer import Mode, ProjectionRule, TrainConfig, run_stream
@@ -182,9 +182,9 @@ def budget_curve_table(eps_mean, eps_std, n_tasks, seed):
         raise ConfigError("seed must be >= 0")
     if not (0.0 <= eps_mean < np.inf and 0.0 <= eps_std < np.inf):
         raise ConfigError("eps_mean and eps_std must be finite and >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(401,)))
-    eps_train = eps_mean + eps_std * rng.standard_normal(n_tasks)
-    eps_ref = eps_mean + eps_std * rng.standard_normal(n_tasks)
+    draws = rng(seed, 401)
+    eps_train = eps_mean + eps_std * draws.standard_normal(n_tasks)
+    eps_ref = eps_mean + eps_std * draws.standard_normal(n_tasks)
     budgets = [TaskBudget(i + 1, float(eps_train[i]), float(eps_ref[i]))
                for i in range(n_tasks)]
     rows = []

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dp
 from .errors import ConfigError, ParseError
 
 IMAGE_MAGIC = 0x00000803  # 2051
@@ -153,7 +154,7 @@ def make_synthetic(d, num_classes, n_per_class, margin, seed) -> Dataset:
         raise ConfigError("need 1 <= num_classes <= d for disjoint class blocks")
     if not 0.0 < margin < np.inf:
         raise ConfigError("margin must be finite and positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(901,)))
+    rng = dp.rng(seed, 901)
     block = d // num_classes
     means = np.zeros((num_classes, d))
     for c in range(num_classes):
@@ -190,7 +191,7 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
     if not 0.0 < ref_fraction < 1.0:
         raise ConfigError("ref_fraction must be in (0, 1)")
     d = base.feature_dim
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(902,)))
+    rng = dp.rng(seed, 902)
 
     if test is None:
         split = rng.permutation(len(base))

@@ -1,8 +1,7 @@
-"""Noise configuration and addressed Gaussian noise injection."""
+"""Noise configuration, addressed generators and Gaussian noise draws."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,21 +26,15 @@ class NoiseConfig:
             raise ConfigError("noise seed must be >= 0")
 
 
-def noise_rng(seed, address=()) -> np.random.Generator:
-    """Seeded generator for one addressed noise stream.
-
-    Streams addressed by distinct (task, step, role, ...) tuples are
-    statistically independent and do not depend on evaluation order.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(201,) + tuple(address)))
+def rng(seed, *key) -> np.random.Generator:
+    """The generator of substream key (a role, then its address) under seed:
+    streams of distinct keys are independent, in whatever order built."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def draw_noise(cfg: NoiseConfig, address, out, n_blocks=1) -> np.ndarray:
-    """Fill out with the addressed noise stream's i.i.d. N(0, sigma^2 *
-    beta^2 / n_blocks) draws and return it: the noise of a release that
-    averages n_blocks blocks' clipped means, the law of the mean of
-    n_blocks draws at sigma * beta."""
-    z = noise_rng(cfg.seed, address).standard_normal(out=out)
-    z *= cfg.sigma / math.sqrt(n_blocks) * cfg.clip_bound
+def draw_noise(seed, address, std, out) -> np.ndarray:
+    """Fill out with the i.i.d. N(0, std^2) draws of the noise stream at
+    address under seed, and return it."""
+    z = rng(seed, 201, *address).standard_normal(out=out)  # 201: the noise role
+    z *= std
     return z
-

@@ -17,9 +17,9 @@ project_gradient return new arrays.
 
 What a step reads, draws and charges is decided once, by _plan, in one
 _Step record per step: the training rows, the rows of each block read, each
-release's noise address and each q charged. run_stream walks the records on
-this thread and makes each step from its record alone (_step), both of its
-releases through _release. One _NoiseSource per run queues each record's
+release's noise address and std, and each q charged. run_stream walks the
+records on this thread and makes each step from its record alone (_step),
+both of its releases through _release. One _NoiseSource per run queues each record's
 releases a record ahead of its step and draws their noise in order into the
 step buffers; at 2**16 parameters or more, a private run draws on a helper
 thread that draws noise and nothing else, started after the net is made and
@@ -45,8 +45,8 @@ import numpy as np
 
 from . import nn
 from .accountant import DEFAULT_LAMBDA_MAX, MAX_LAMBDA, Policy, PrivacyLedger
-from .data import Dataset, TaskStream
-from .dp import NoiseConfig, draw_noise
+from .data import TaskStream
+from .dp import NoiseConfig, draw_noise, rng as _rng
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
 
@@ -111,10 +111,6 @@ class TrainConfig:
         return self.epochs_per_task * math.ceil(1.0 / self.sampling_rate)
 
 
-def _rng(seed, *key):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
 def project_gradient(g, g_ref, rule: ProjectionRule, *, out=None) -> np.ndarray:
     """Remove from g its component along g_ref (the constraint-satisfying
     update direction); with ONLY_IF_CONFLICT, only when the gradients oppose.
@@ -142,7 +138,7 @@ class _Step(NamedTuple):
     train_rows: np.ndarray  # the rows of its task's training split the training release reads
     block_ids: tuple  # the blocks its reference release reads; block i is task i's ref split
     ref_rows: tuple   # the rows it reads of each, min(k, |block|) drawn without replacement
-    releases: tuple   # (noise address, blocks B it averages) per release, training first
+    releases: tuple   # (noise address, noise std) per release, training first
     q_train: float    # the q charged for the training release
     q_blocks: tuple   # the q charged for each block read
 
@@ -153,8 +149,14 @@ def _plan(cfg: TrainConfig, tasks):
     each row with probability p, charged p; a reference release reads one
     uniformly chosen block (agem, dp_cl) or every block (dp_agem),
     min(k, |block|) rows of each, each block charged at
-    share * min(k, |block|) / |block|. Every row a step reads is drawn here."""
+    share * min(k, |block|) / |block|. The noise of a release that averages B
+    clipped means has std sigma * beta / sqrt(B), that of the mean of B draws
+    at sigma * beta. Every row a step reads is drawn, and every std set, here."""
     k, p, dp_agem = cfg.ref_batch_size, cfg.sampling_rate, cfg.mode is Mode.DP_AGEM
+
+    def std(n_blocks):
+        return cfg.noise.sigma / math.sqrt(n_blocks) * cfg.noise.clip_bound
+
     for task_id, n, sizes in tasks:
         share = 1.0 if dp_agem or not sizes else 1.0 / len(sizes)
         for step in range(cfg.steps_per_task):
@@ -165,33 +167,33 @@ def _plan(cfg: TrainConfig, tasks):
                 ids = (1 + _rng(cfg.seed, _ROLE_BLOCK, task_id, step).integers(len(sizes)),)
             rows = tuple(_rng(cfg.seed, _ROLE_REF_IDX, task_id, step, i).choice(
                 sizes[i - 1], size=min(k, sizes[i - 1]), replace=False) for i in ids)
-            releases = (((_ROLE_TRAIN_NOISE, task_id, step), 1),)
+            releases = (((_ROLE_TRAIN_NOISE, task_id, step), std(1)),)
             if ids:
-                releases += (((_ROLE_REF_NOISE, task_id, step, *ids), len(ids)),)
+                releases += (((_ROLE_REF_NOISE, task_id, step, *ids), std(len(ids))),)
             yield _Step(task_id, step, train_rows, ids, rows, releases, p,
                         tuple(share * (len(r) / sizes[i - 1]) for i, r in zip(ids, rows)))
 
 
 class _NoiseSource:
-    """Draws the noise of the releases ahead queues (dp.draw_noise), in order,
-    into the buffers after the first, which the step holds (held); an agem
-    source draws nothing and lends its buffers. take hands out the next
-    noise; give takes a buffer back. In a with block, a private net of
-    _DRAW_AHEAD_MIN_PARAMS or more parameters draws on a helper thread,
-    joined when the block ends; otherwise take draws."""
+    """Draws the noise of the releases ahead queues (dp.draw_noise at each
+    one's address and std), in order, into the buffers after the first, which
+    the step holds (held); an agem source draws nothing and lends its buffers.
+    take hands out the next noise; give takes a buffer back. In a with block,
+    a private net of _DRAW_AHEAD_MIN_PARAMS or more parameters draws on a
+    helper thread, joined when the block ends; otherwise take draws."""
 
     def __init__(self, cfg: TrainConfig, buffers):
         self.held, *free = buffers
         self._free, self._queued, self._drawn = (queue.SimpleQueue() for _ in range(3))
         for z in free:
             self._free.put(z)
-        self._noise, self._helper = None if cfg.mode is Mode.AGEM else cfg.noise, None
+        self._seed, self._helper = None if cfg.mode is Mode.AGEM else cfg.noise.seed, None
 
     def __enter__(self):
-        if self._noise is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
+        if self._seed is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
             # the helper sees the queues, not self, so a finished source is freed at once
             self._helper = threading.Thread(target=self._draw_ahead, daemon=True, args=(
-                self._queued, self._free, self._drawn, self._noise))
+                self._queued, self._free, self._drawn, self._seed))
             self._helper.start()
         return self
 
@@ -202,19 +204,19 @@ class _NoiseSource:
             self._helper.join()
 
     @staticmethod
-    def _draw(queued, free, noise, block=True):
+    def _draw(queued, free, seed, block=True):
         """The next queued release's noise, drawn into a free buffer; None past
         the plan's end or once the source stops. Unless block, raises queue.Empty."""
         release = queued.get(block)
         z = None if release is None else free.get(block)
-        if z is not None and noise is not None:
-            z = draw_noise(noise, release[0], z, release[1])
+        if z is not None and seed is not None:
+            z = draw_noise(seed, *release, z)
         return z
 
     @staticmethod
-    def _draw_ahead(queued, free, drawn, noise):
+    def _draw_ahead(queued, free, drawn, seed):
         try:
-            while (z := _NoiseSource._draw(queued, free, noise)) is not None:
+            while (z := _NoiseSource._draw(queued, free, seed)) is not None:
                 drawn.put(z)
         finally:
             drawn.put(None)  # so that take raises rather than waits
@@ -231,7 +233,7 @@ class _NoiseSource:
     def take(self):
         """The next queued release's noise, in a buffer the caller gives back."""
         z = self._drawn.get() if self._helper else self._draw(
-            self._queued, self._free, self._noise, block=False)
+            self._queued, self._free, self._seed, block=False)
         if z is None:
             raise RuntimeError("no queued release is left to take")
         return z
@@ -242,7 +244,7 @@ class _NoiseSource:
 
 def _release(net, picks, cfg: TrainConfig, noise, *, out):
     """One release: the rows idx of each (split, idx) pick, gathered into one
-    batch, give the plain mean gradient (agem) or the mean of the picks'
+    x and y, give the plain mean gradient (agem) or the mean of the picks'
     clipped means plus noise.take's next noise, or zero without rows. Written
     into out; returns it and the noise buffer, for the caller to give back."""
     n, g = sum(len(idx) for _, idx in picks), out
@@ -253,12 +255,11 @@ def _release(net, picks, cfg: TrainConfig, noise, *, out):
         for split, idx in picks:
             split.gather(idx, x[end:end + len(idx)], y[end:end + len(idx)])
             end += len(idx)
-        batch = Dataset(x, y, picks[0][0].num_classes)  # not held past the release
         if cfg.mode is Mode.AGEM:
-            g = nn.grad(net, batch, out=out)
+            g = nn.grad(net, x, y, out=out)
         else:
             sizes = [len(idx) for _, idx in picks] if len(picks) > 1 else None
-            g = nn.clipped_mean_grad(net, batch, cfg.noise.clip_bound, sizes, out=out)
+            g = nn.clipped_mean_grad(net, x, y, cfg.noise.clip_bound, sizes, out=out)
     z = noise.take()
     if cfg.mode is not Mode.AGEM:
         g += z  # bitwise z + g

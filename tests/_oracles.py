@@ -102,7 +102,7 @@ def forward(net, x):
 def loss(net, batch):
     """Mean softmax cross entropy of a DenseNet over the batch: the function
     whose exact gradient nn.grad computes."""
-    _check_batch(net, batch)
+    _check_batch(net, batch.x)
     _, logits = net._forward_batch(batch.x)
     logp = log_softmax(logits)
     return float(-logp[np.arange(len(batch)), batch.y].mean())
@@ -112,7 +112,7 @@ def whole_accuracy(net, dataset):
     """Fraction of argmax-correct predictions from one forward pass over the
     whole dataset, gathered at once."""
     batch = gathered(dataset)
-    _check_batch(net, batch)
+    _check_batch(net, batch.x)
     _, logits = net._forward_batch(batch.x)
     return float((logits.argmax(axis=1) == batch.y).mean())
 
@@ -134,7 +134,7 @@ def add_noise(g, cfg: NoiseConfig, address=()):
         raise NumericError("gradient contains NaN/Inf")
     if cfg.sigma == 0.0:
         return g.copy()
-    z = draw_noise(cfg, address, np.empty(g.shape))
+    z = draw_noise(cfg.seed, address, cfg.sigma * cfg.clip_bound, np.empty(g.shape))
     z += g
     return z
 

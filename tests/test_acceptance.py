@@ -90,7 +90,7 @@ def test_gradient_exactness():
     for _ in range(20):
         point = rng.uniform(-0.5, 0.5, net.num_params)
         net.params[...] = point
-        g = grad(net, batch)
+        g = grad(net, batch.x, batch.y)
         fd = finite_difference_grad(loss_at, point, step=1e-5)
         rel = np.abs(fd - g) / np.maximum(np.abs(g), 1e-8)
         assert rel.max() < 1e-4
@@ -109,7 +109,7 @@ def test_clipping_and_noise():
         batch = Dataset(x, rng.integers(0, dims[-1], n), dims[-1])
         norms.extend(np.linalg.norm(
             per_example_grad_matrix(net.weights, net.biases, batch.x, batch.y), axis=1))
-        assert np.linalg.norm(clipped_mean_grad(net, batch, beta)) <= beta + 1e-12
+        assert np.linalg.norm(clipped_mean_grad(net, batch.x, batch.y, beta)) <= beta + 1e-12
     assert min(norms) <= 1e-3 and max(norms) >= 1e3
     sigma = 1.0
     cfg = NoiseConfig(sigma=sigma, clip_bound=beta, seed=3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dpcl.data import Dataset
-from dpcl.dp import NoiseConfig, noise_rng
+from dpcl.dp import NoiseConfig, rng
 from dpcl.errors import ConfigError, NumericError
 from dpcl.nn import DenseNet, clipped_mean_grad, grad
 
@@ -25,12 +25,12 @@ def hand_net():
 
 def test_clip_untouched_inside_bound():
     net, one = hand_net()
-    assert np.array_equal(clipped_mean_grad(net, one, 10.0), [-0.5, 0.5, -0.5, 0.5])
+    assert np.array_equal(clipped_mean_grad(net, one.x, one.y, 10.0), [-0.5, 0.5, -0.5, 0.5])
 
 
 def test_clip_rescales_to_bound():
     net, one = hand_net()
-    out = clipped_mean_grad(net, one, 0.5)
+    out = clipped_mean_grad(net, one.x, one.y, 0.5)
     assert np.allclose(out, [-0.25, 0.25, -0.25, 0.25], atol=1e-15)
 
 
@@ -38,16 +38,16 @@ def test_clip_zero_vector():
     # one class: the softmax is 1 on the label, so every gradient is zero
     net = DenseNet.create([4, 3, 1], seed=0)
     one = Dataset(np.ones((1, 4)), np.zeros(1, dtype=int), 1)
-    assert np.array_equal(clipped_mean_grad(net, one, 0.5), np.zeros(net.num_params))
+    assert np.array_equal(clipped_mean_grad(net, one.x, one.y, 0.5), np.zeros(net.num_params))
 
 
 def test_clip_rejects_bad_inputs():
     net, one = hand_net()
     with pytest.raises(ConfigError):
-        clipped_mean_grad(net, one, 0.0)
+        clipped_mean_grad(net, one.x, one.y, 0.0)
     one.x[0, 0] = np.nan
     with pytest.raises(NumericError):
-        clipped_mean_grad(net, one, 1.0)
+        clipped_mean_grad(net, one.x, one.y, 1.0)
 
 
 @given(seed=st.integers(0, 2**16), log_scale=st.floats(-3, 3), beta=st.floats(1e-6, 1e3))
@@ -56,8 +56,8 @@ def test_clip_norm_bound_and_idempotence(seed, log_scale, beta):
     rng = np.random.default_rng(seed)
     net = DenseNet.create([4, 3, 3], seed=seed)
     one = Dataset(rng.standard_normal((1, 4)) * 10**log_scale, rng.integers(0, 3, 1), 3)
-    g = grad(net, one)
-    clipped = clipped_mean_grad(net, one, beta)
+    g = grad(net, one.x, one.y)
+    clipped = clipped_mean_grad(net, one.x, one.y, beta)
     assert np.linalg.norm(clipped) <= beta + 1e-12
     # idempotent up to one rounding step of the rescale factor
     assert np.allclose(clip_vector(clipped, beta), clipped, rtol=1e-14, atol=0.0)
@@ -85,7 +85,7 @@ def test_add_noise_matches_reference_expression_without_mutating_input():
     before = g.copy()
     cfg = NoiseConfig(sigma=1.7, clip_bound=0.3, seed=9)
     noised = add_noise(g, cfg, (2, 5))
-    expected = g + cfg.sigma * cfg.clip_bound * noise_rng(cfg.seed, (2, 5)).standard_normal(g.shape)
+    expected = g + cfg.sigma * cfg.clip_bound * rng(cfg.seed, 201, 2, 5).standard_normal(g.shape)
     assert np.array_equal(noised, expected)
     assert np.array_equal(g, before)
     copy = add_noise(g, NoiseConfig(sigma=0.0, clip_bound=0.3, seed=9))
@@ -123,7 +123,7 @@ def test_streams_pass_chi_square_uniformity():
     # pool z-scores from many distinct addresses; their normal CDF values
     # should be uniform if the streams are independent
     values = np.concatenate([
-        noise_rng(7, (0, addr)).standard_normal(200) for addr in range(100)
+        rng(7, 201, 0, addr).standard_normal(200) for addr in range(100)
     ])
     u = stats.norm.cdf(values)
     counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))

@@ -2,11 +2,14 @@
 uniformly chosen stored block (agem, dp_cl) or every block (dp_agem), a
 without-replacement reference batch of each, and the q each block is charged."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from dpcl.data import Dataset
+from dpcl.dp import NoiseConfig
 from dpcl.trainer import _ROLE_BATCH, Mode, TrainConfig, _plan, _rng
 
 from _oracles import gathered, membership_expectation_check, plan_reads
@@ -57,9 +60,13 @@ def test_every_record_reads_distinct_rows_and_charges_their_share(mode):
     range, charged q = p. For every block a record reads: min(k, |block|)
     distinct rows in range, charged share * rows / |block|, where share is 1
     for dp_agem and one over the number of stored blocks otherwise. Blocks 1
-    and 4 are smaller than k."""
+    and 4 are smaller than k. The training release is noised at std
+    sigma * beta, the reference release at sigma * beta / sqrt(B), B the
+    number of blocks it reads."""
     sizes, train_sizes, k = [3, 7, 12, 5], [40, 0, 1, 25, 60], 6
-    cfg = TrainConfig(mode=mode, sampling_rate=0.1, ref_batch_size=k, epochs_per_task=3, seed=2)
+    sigma, beta = 1.3, 0.25
+    cfg = TrainConfig(mode=mode, sampling_rate=0.1, ref_batch_size=k, epochs_per_task=3, seed=2,
+                      noise=NoiseConfig(sigma=sigma, clip_bound=beta))
     records = list(_plan(cfg, [(t, train_sizes[t - 1], sizes[:t - 1]) for t in range(1, 6)]))
     assert len(records) == 5 * cfg.steps_per_task
     for record in records:
@@ -80,6 +87,9 @@ def test_every_record_reads_distinct_rows_and_charges_their_share(mode):
             assert len(rows) == min(k, size) == len(np.unique(rows))
             assert rows.min() >= 0 and rows.max() < size
             assert q == share * (len(rows) / size)
+        blocks = [len(record.block_ids)] if record.block_ids else []
+        stds = [sigma * beta / math.sqrt(b) for b in [1] + blocks]
+        assert [std for _, std in record.releases] == pytest.approx(stds, rel=1e-15, abs=0)
     assert sum(len(record.train_rows) for record in records) > 0
 
 

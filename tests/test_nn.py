@@ -113,7 +113,7 @@ def test_grad_zero_at_saturated_minimum():
     net = zero_net([2, 3])
     net.biases[0][...] = np.array([50.0, 0.0, 0.0])
     data = Dataset(np.zeros((1, 2)), np.zeros(1, dtype=int), 3)
-    assert np.linalg.norm(grad(net, data)) < 1e-6
+    assert np.linalg.norm(grad(net, data.x, data.y)) < 1e-6
 
 
 def test_grad_matches_finite_differences():
@@ -123,7 +123,7 @@ def test_grad_matches_finite_differences():
     def loss_at(params):
         return loss(DenseNet(net.layer_dims, params), data)
 
-    g = grad(net, data)
+    g = grad(net, data.x, data.y)
     fd = finite_difference_grad(loss_at, net.params.copy())
     rel = np.abs(fd - g) / np.maximum(np.abs(g), 1e-8)
     assert rel.max() < 1e-4
@@ -134,8 +134,8 @@ def test_grad_is_mean_over_examples():
     data = make_synthetic(4, 3, 2, 0.6, seed=9)
     a, b = gathered(data, [0, 1, 2]), gathered(data, [3, 4, 5])
     combined = data
-    g = grad(net, combined)
-    mean_of_parts = (grad(net, a) + grad(net, b)) / 2
+    g = grad(net, combined.x, combined.y)
+    mean_of_parts = (grad(net, a.x, a.y) + grad(net, b.x, b.y)) / 2
     assert np.allclose(g, mean_of_parts, atol=1e-12)
 
 
@@ -144,7 +144,7 @@ def oracle_matrix(net, data):
 
 
 def fused_norms(net, data):
-    return np.sqrt(_example_sq_norms(*_backward(net, data)))
+    return np.sqrt(_example_sq_norms(*_backward(net, data.x, data.y)))
 
 
 @pytest.mark.parametrize("dims,seed", [([4, 2, 3], 0), ([6, 5, 4, 3], 7), ([3, 2], 12)])
@@ -196,8 +196,9 @@ def test_writing_params_changes_accuracy():
 def test_successive_gradients_do_not_share_memory():
     net = DenseNet.create([4, 3, 3], seed=5)
     data = make_synthetic(4, 3, 2, 0.6, seed=2)
-    for first, second in [(grad(net, data), grad(net, data)),
-                          (clipped_mean_grad(net, data, 0.1), clipped_mean_grad(net, data, 0.1))]:
+    x, y = data.x, data.y
+    for first, second in [(grad(net, x, y), grad(net, x, y)),
+                          (clipped_mean_grad(net, x, y, 0.1), clipped_mean_grad(net, x, y, 0.1))]:
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
 
@@ -206,16 +207,17 @@ def test_per_example_singleton():
     net = DenseNet.create([4, 3, 3], seed=5)
     data = gathered(make_synthetic(4, 3, 1, 0.6, seed=2), [0])
     (only,) = oracle_matrix(net, data)
-    assert np.allclose(only, grad(net, data), atol=1e-15)
+    assert np.allclose(only, grad(net, data.x, data.y), atol=1e-15)
     big = 2 * np.linalg.norm(only)
-    assert np.allclose(clipped_mean_grad(net, data, big), grad(net, data), atol=1e-15)
+    assert np.allclose(clipped_mean_grad(net, data.x, data.y, big), grad(net, data.x, data.y),
+                       atol=1e-15)
 
 
 def test_per_example_mean_consistency():
     net = DenseNet.create([4, 3, 3], seed=6)
     data = gathered(make_synthetic(4, 3, 3, 0.6, seed=8), range(8))
     stack = oracle_matrix(net, data)
-    assert np.abs(stack.mean(axis=0) - grad(net, data)).max() <= 1e-10
+    assert np.abs(stack.mean(axis=0) - grad(net, data.x, data.y)).max() <= 1e-10
 
 
 def test_per_example_duplicates_identical():
@@ -225,8 +227,8 @@ def test_per_example_duplicates_identical():
     n0, n1 = fused_norms(net, dup)
     assert n0 == n1
     beta = n0 / 2  # clips the example
-    assert np.allclose(clipped_mean_grad(net, dup, beta), clipped_mean_grad(net, one, beta),
-                       rtol=0, atol=1e-15)
+    assert np.allclose(clipped_mean_grad(net, dup.x, dup.y, beta),
+                       clipped_mean_grad(net, one.x, one.y, beta), rtol=0, atol=1e-15)
 
 
 # The fused path sums over examples with a matmul where the oracle builds
@@ -265,14 +267,16 @@ def test_fused_paths_match_per_example_oracle(case, regime, frac):
 
     assert np.abs(fused_norms(net, data) - norms).max() <= FUSED_TOL * norms.max()
     expected = np.mean([clip_vector(row, beta) for row in oracle], axis=0)
-    assert np.abs(clipped_mean_grad(net, data, beta) - expected).max() <= FUSED_TOL * scale
-    assert np.abs(grad(net, data) - oracle.mean(axis=0)).max() <= FUSED_TOL * scale
+    x, y = data.x, data.y
+    assert np.abs(clipped_mean_grad(net, x, y, beta) - expected).max() <= FUSED_TOL * scale
+    assert np.abs(grad(net, x, y) - oracle.mean(axis=0)).max() <= FUSED_TOL * scale
 
 
 def test_clipped_mean_grad_rejects_nonpositive_bound():
     net = DenseNet.create([4, 3, 3], seed=0)
+    data = make_synthetic(4, 3, 2, 0.6, seed=0)
     with pytest.raises(ConfigError):
-        clipped_mean_grad(net, make_synthetic(4, 3, 2, 0.6, seed=0), 0.0)
+        clipped_mean_grad(net, data.x, data.y, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -282,7 +286,7 @@ def test_clipped_mean_grad_raises_on_nonfinite_feature(bad):
     data = make_synthetic(4, 3, 3, 0.6, seed=0)
     data.x[4, 1] = bad
     with pytest.raises(NumericError):
-        clipped_mean_grad(net, data, 0.1)
+        clipped_mean_grad(net, data.x, data.y, 0.1)
 
 
 def test_accuracy_perfect_and_crafted_zero():
@@ -371,7 +375,7 @@ def test_training_determinism_bitwise():
         data = make_synthetic(4, 3, 10, 0.6, seed=4)
         params = net.params.copy()
         for _ in range(5):
-            params = params - 0.1 * grad(net, data)
+            params = params - 0.1 * grad(net, data.x, data.y)
             net.params[...] = params
         return net.params.copy()
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dpcl import dp, nn, trainer
 from dpcl.accountant import Policy, PrivacyLedger, TaskBudget, compose_epsilon
-from dpcl.data import Dataset, TaskSplit, TaskStream, make_permuted_stream, make_synthetic
+from dpcl.data import TaskSplit, TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.errors import ConfigError, NumericError
 from dpcl.trainer import (
@@ -128,14 +128,15 @@ def agem_reference_params(stream, cfg, dims):
         for step in range(cfg.steps_per_task):
             mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
             if mask.any():
-                g = nn.grad(ref_net, gathered(train_split, np.flatnonzero(mask)))
+                batch = gathered(train_split, np.flatnonzero(mask))
+                g = nn.grad(ref_net, batch.x, batch.y)
             else:
                 g = np.zeros(ref_net.num_params)
             if t > 1:
                 choice = _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))
                 block_id, block = blocks[choice]
-                g_ref = nn.grad(ref_net, gathered(block, ref_rows(cfg, t, step, block_id,
-                                                                  len(block))))
+                batch = gathered(block, ref_rows(cfg, t, step, block_id, len(block)))
+                g_ref = nn.grad(ref_net, batch.x, batch.y)
                 denom = g_ref @ g_ref
                 if denom > 0:
                     g = g - (g @ g_ref) / denom * g_ref
@@ -155,8 +156,11 @@ def private_reference_params(stream, cfg, dims):
         blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
         for step in range(cfg.steps_per_task):
             mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
-            g = (nn.clipped_mean_grad(ref_net, gathered(train_split, np.flatnonzero(mask)), beta)
-                 if mask.any() else np.zeros(ref_net.num_params))
+            if mask.any():
+                batch = gathered(train_split, np.flatnonzero(mask))
+                g = nn.clipped_mean_grad(ref_net, batch.x, batch.y, beta)
+            else:
+                g = np.zeros(ref_net.num_params)
             g = add_noise(g, cfg.noise, (_ROLE_TRAIN_NOISE, t, step))
             if blocks:
                 if cfg.mode is Mode.DP_AGEM:
@@ -167,15 +171,14 @@ def private_reference_params(stream, cfg, dims):
                            for i in ids]
                 address = (_ROLE_REF_NOISE, t, step, *ids)
                 if len(batches) == 1:
-                    g_ref = add_noise(nn.clipped_mean_grad(ref_net, batches[0], beta),
-                                         cfg.noise, address)
+                    g_ref = add_noise(nn.clipped_mean_grad(ref_net, batches[0].x, batches[0].y,
+                                                           beta), cfg.noise, address)
                 else:
-                    joint = Dataset(np.concatenate([b.x for b in batches]),
-                                    np.concatenate([b.y for b in batches]),
-                                    batches[0].num_classes)
+                    x = np.concatenate([b.x for b in batches])
+                    y = np.concatenate([b.y for b in batches])
                     sizes = [len(b) for b in batches]
                     noise = replace(cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
-                    g_ref = add_noise(nn.clipped_mean_grad(ref_net, joint, beta, sizes),
+                    g_ref = add_noise(nn.clipped_mean_grad(ref_net, x, y, beta, sizes),
                                          noise, address)
                 g = project_gradient(g, g_ref, cfg.projection_rule)
             params = params - cfg.learning_rate * g
@@ -188,18 +191,20 @@ def private_cfg(mode, **kw):
 
 
 def record_draw_threads(monkeypatch, helper_delay=0.0):
-    """Record, for every noise draw, whether it ran on the main thread; a
-    draw on another thread first sleeps helper_delay seconds."""
+    """Record, for every noise draw (a generator of role 201), whether it ran
+    on the main thread; a draw on another thread first sleeps helper_delay
+    seconds."""
     on_main = []
-    real = dp.noise_rng
+    real = dp.rng
 
-    def recorded(seed, address=()):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        if not on_main[-1]:
-            time.sleep(helper_delay)
-        return real(seed, address)
+    def recorded(seed, *key):
+        if key[0] == 201:
+            on_main.append(threading.current_thread() is threading.main_thread())
+            if not on_main[-1]:
+                time.sleep(helper_delay)
+        return real(seed, *key)
 
-    monkeypatch.setattr(dp, "noise_rng", recorded)
+    monkeypatch.setattr(dp, "rng", recorded)
     return on_main
 
 
@@ -500,19 +505,20 @@ def test_full_width_dp_agem_joint_release_draws_ahead_bitwise(monkeypatch):
     stream = make_permuted_stream(base, 3, seed=1, ref_fraction=0.2)
     cfg = private_cfg(Mode.DP_AGEM, hidden_dims=(256, 256), epochs_per_task=1, ref_batch_size=8)
     addresses, on_main = [], []
-    real = dp.noise_rng
+    real = dp.rng
 
-    def recorded(seed, address=()):
-        addresses.append(tuple(address))
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return real(seed, address)
+    def recorded(seed, *key):
+        if key[0] == 201:
+            addresses.append(key[1:])
+            on_main.append(threading.current_thread() is threading.main_thread())
+        return real(seed, *key)
 
-    monkeypatch.setattr(dp, "noise_rng", recorded)
+    monkeypatch.setattr(dp, "rng", recorded)
     ahead = run_stream(stream, cfg)
     assert ahead.net.num_params >= trainer._DRAW_AHEAD_MIN_PARAMS
     assert on_main and not any(on_main)
     assert (_ROLE_REF_NOISE, 3, 0, 1, 2) in addresses
-    monkeypatch.setattr(dp, "noise_rng", real)
+    monkeypatch.setattr(dp, "rng", real)
     assert np.array_equal(ahead.net.params,
                           private_reference_params(stream, cfg, [784, 256, 256, 10]))
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", ahead.net.num_params + 1)
@@ -644,30 +650,51 @@ def test_lemma1_charges_block_one_what_each_later_task_paid_to_read_it():
 def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
     """At 784-256-256-10, above the gate, the training mask, the block
     choice and the reference rows are drawn on the main thread, by the plan;
-    the helper thread builds the noise streams' generators and no other."""
+    the helper thread builds the noise streams' generators and no other.
+    With the gate raised, the same noise is drawn inline. Either way the
+    source draws exactly the records' (address, std) pairs, in order."""
     base = make_synthetic(784, 10, 10, 0.6, seed=1)
     stream = make_permuted_stream(base, 3, seed=1, ref_fraction=0.2)
     cfg = private_cfg(mode, hidden_dims=(256, 256), epochs_per_task=1, ref_batch_size=8)
-    built = []  # (role, on the main thread)
-    real_rng, real_noise_rng = trainer._rng, dp.noise_rng
+    built, records, drawn = [], [], []  # built: (role, on the main thread)
+    real_rng, real_noise_rng = trainer._rng, dp.rng
+    real_plan, real_draw = trainer._plan, trainer.draw_noise
 
     def recorded_rng(seed, *key):
         built.append((key[0], threading.current_thread() is threading.main_thread()))
         return real_rng(seed, *key)
 
-    def recorded_noise_rng(seed, address=()):
-        built.append((201, threading.current_thread() is threading.main_thread()))
-        return real_noise_rng(seed, address)
+    def recorded_noise_rng(seed, *key):
+        if key[0] == 201:
+            built.append((201, threading.current_thread() is threading.main_thread()))
+        return real_noise_rng(seed, *key)
+
+    def recorded_plan(cfg, tasks):
+        for record in real_plan(cfg, tasks):
+            records.append(record)
+            yield record
+
+    def recorded_draw(seed, address, std, out):
+        drawn.append((address, std))
+        return real_draw(seed, address, std, out)
 
     monkeypatch.setattr(trainer, "_rng", recorded_rng)
-    monkeypatch.setattr(dp, "noise_rng", recorded_noise_rng)
-    run_stream(stream, cfg)
-    roles = {role for role, _ in built}
-    assert {_ROLE_BATCH, _ROLE_REF_IDX, 201} <= roles
-    assert (_ROLE_BLOCK in roles) is (mode is Mode.DP_CL)
-    assert all(on_main for role, on_main in built if role != 201)
+    monkeypatch.setattr(dp, "rng", recorded_noise_rng)
+    monkeypatch.setattr(trainer, "_plan", recorded_plan)
+    monkeypatch.setattr(trainer, "draw_noise", recorded_draw)
     releases = 3 * 4 + 2 * 4  # a training release per step, a reference one from task 2
-    assert [on_main for role, on_main in built if role == 201] == [False] * releases
+    for draw_ahead in (True, False):
+        if not draw_ahead:
+            monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 1 << 30)
+        for seen in (built, records, drawn):
+            seen.clear()
+        run_stream(stream, cfg)
+        roles = {role for role, _ in built}
+        assert {_ROLE_BATCH, _ROLE_REF_IDX, 201} <= roles
+        assert (_ROLE_BLOCK in roles) is (mode is Mode.DP_CL)
+        assert all(on_main for role, on_main in built if role != 201)
+        assert [on_main for role, on_main in built if role == 201] == [not draw_ahead] * releases
+        assert drawn == [release for record in records for release in record.releases]
 
 
 @pytest.mark.parametrize("gate", [0, 1 << 16])
@@ -777,7 +804,8 @@ def test_dp_agem_noiseless_single_block_ref_gradient():
     block = stream.tasks[0][1]
     g_ref, _ = released_ref_grad(net, [block], 2, 0, cfg)
     # huge clip bound + sigma 0 + whole-block batch -> plain block gradient
-    assert np.allclose(g_ref, nn.grad(net, gathered(block)), atol=1e-12)
+    whole = gathered(block)
+    assert np.allclose(g_ref, nn.grad(net, whole.x, whole.y), atol=1e-12)
 
 
 def released_ref_grad(net, blocks, task_id, step, cfg):
@@ -802,24 +830,26 @@ def test_dp_agem_ref_step_is_one_backward_and_one_draw(n_blocks, monkeypatch):
     cfg = TrainConfig(mode=Mode.DP_AGEM, hidden_dims=(8,), ref_batch_size=4, seed=2)
     net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
     backward_rows, addresses = [], []
-    real_backward, real_noise_rng = nn._backward, dp.noise_rng
+    real_backward, real_rng = nn._backward, dp.rng
 
-    def counted_backward(net, batch):
-        backward_rows.append(len(batch))
-        return real_backward(net, batch)
+    def counted_backward(net, x, y):
+        backward_rows.append(len(x))
+        return real_backward(net, x, y)
 
-    def counted_noise_rng(seed, address=()):
-        addresses.append(tuple(address))
-        return real_noise_rng(seed, address)
+    def counted_rng(seed, *key):
+        if key[0] == 201:
+            addresses.append(key[1:])
+        return real_rng(seed, *key)
 
     monkeypatch.setattr(nn, "_backward", counted_backward)
-    monkeypatch.setattr(dp, "noise_rng", counted_noise_rng)
+    monkeypatch.setattr(dp, "rng", counted_rng)
     _, record = released_ref_grad(net, blocks, n_blocks + 1, 3, cfg)
     assert backward_rows == [n_blocks * cfg.ref_batch_size]
     ref_address = (_ROLE_REF_NOISE, n_blocks + 1, 3, *range(1, n_blocks + 1))
     assert addresses == [(_ROLE_TRAIN_NOISE, n_blocks + 1, 3), ref_address]
     assert record.block_ids == tuple(range(1, n_blocks + 1))
-    assert record.releases[1] == (ref_address, n_blocks)
+    std = cfg.noise.sigma * cfg.noise.clip_bound / math.sqrt(n_blocks)
+    assert record.releases[1] == (ref_address, pytest.approx(std, rel=1e-15, abs=0))
 
 
 def three_unequal_blocks():
@@ -832,10 +862,10 @@ def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
     cfg = TrainConfig(mode=Mode.DP_AGEM, noise=NoiseConfig(sigma=0.0, clip_bound=0.05),
                       hidden_dims=(8,), ref_batch_size=9, seed=4)
     net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
-    expected = np.mean([
-        nn.clipped_mean_grad(net, gathered(block, ref_rows(cfg, 4, 0, block_id, len(block))),
-                             cfg.noise.clip_bound)
-        for block_id, block in enumerate(blocks, start=1)], axis=0)
+    batches = [gathered(block, ref_rows(cfg, 4, 0, block_id, len(block)))
+               for block_id, block in enumerate(blocks, start=1)]
+    expected = np.mean([nn.clipped_mean_grad(net, b.x, b.y, cfg.noise.clip_bound)
+                        for b in batches], axis=0)
     g_ref, _ = released_ref_grad(net, blocks, 4, 0, cfg)
     # equal up to GEMM row blocking: one pass over 7 + 9 + 9 rows against three
     assert np.abs(g_ref - expected).max() <= 1e-12 * np.abs(expected).max()
