@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dpcl import dp
 from dpcl.data import Dataset
-from dpcl.dp import NoiseConfig, rng
+from dpcl.dp import NoiseConfig
 from dpcl.errors import ConfigError, NumericError
 from dpcl.nn import DenseNet, clipped_mean_grad, grad
 
@@ -85,7 +86,7 @@ def test_add_noise_matches_reference_expression_without_mutating_input():
     before = g.copy()
     cfg = NoiseConfig(sigma=1.7, clip_bound=0.3, seed=9)
     noised = add_noise(g, cfg, (2, 5))
-    expected = g + cfg.sigma * cfg.clip_bound * rng(cfg.seed, 201, 2, 5).standard_normal(g.shape)
+    expected = g + cfg.sigma * cfg.clip_bound * dp.rng(cfg.seed, 201, 2, 5).standard_normal(g.shape)
     assert np.array_equal(noised, expected)
     assert np.array_equal(g, before)
     copy = add_noise(g, NoiseConfig(sigma=0.0, clip_bound=0.3, seed=9))
@@ -123,7 +124,7 @@ def test_streams_pass_chi_square_uniformity():
     # pool z-scores from many distinct addresses; their normal CDF values
     # should be uniform if the streams are independent
     values = np.concatenate([
-        rng(7, 201, 0, addr).standard_normal(200) for addr in range(100)
+        dp.rng(7, 201, 0, addr).standard_normal(200) for addr in range(100)
     ])
     u = stats.norm.cdf(values)
     counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))
