@@ -13,10 +13,10 @@ Moments add across steps; the (eps, delta) conversion is the standard tail
 bound eps = min_lam (alpha(lam) - ln delta) / lam.
 
 A step's moment vector depends only on (q, sigma), so a ledger counts its
-steps per (task, block, q) and computes each q's vector once, in one array
-pass over all orders. Every epsilon is composed from those counts when it
-is reported, as the sum over q of n_q * alpha_step(q): one multiply per
-rate, where summing step by step would round at every step.
+steps per (task, block, q) and computes each q's vector once, when it is
+built, in one array pass over all orders. Every epsilon is composed from
+those counts when it is reported, as the sum over q of n_q * alpha_step(q):
+one multiply per rate, where summing step by step would round at every step.
 
 `_log_gamma` (Cephes `lgam`, behind `scipy.special.gammaln`) and `_logsumexp_rows`
 (scipy 1.17's `logsumexp` on real input) repeat scipy's float operations in
@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InputError, StateError
+from .errors import ConfigError, InputError
 
 DEFAULT_LAMBDA_MAX = 64
 MAX_LAMBDA = 1024  # step_log_moment's term arrays take about 39 * lambda_max^2 bytes
@@ -41,7 +41,7 @@ MAX_LAMBDA = 1024  # step_log_moment's term arrays take about 39 * lambda_max^2 
 
 class Policy(Enum):
     LEMMA1 = "lemma1"  # every stored block charged at every later task
-    LEMMA2 = "lemma2"  # one randomly chosen block charged per task
+    LEMMA2 = "lemma2"  # every task charged one read of the memory
 
 
 _LGAM_SERIES = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
@@ -164,35 +164,25 @@ def budget_lemma2(budgets, t) -> BudgetReport:
 @dataclass
 class PrivacyLedger:
     """The charged steps of one training run, counted per (task, block, q):
-    block 0 is the task's own training release, block i >= 1 its reads of
-    stored block i. Lemma 2 charges task t eps_t plus the eps of all its
-    reads (eps'_t); lemma 1 charges block i at task T eps_i plus the eps of
-    each later task's reads of it, each (t, i), t > i, composed apart."""
+    block 0 is the task's own training release, block i >= 1 its exposure
+    of stored block i. Lemma 1 charges block i at task T eps_i plus the eps
+    of each later task's charges to it, each (t, i), t > i, composed apart.
+    Lemma 2 charges task t eps_t plus eps'_t, the eps of one read of the
+    memory: all its block charges composed, or, when a read takes one block
+    (one_block), the costliest block's. Each q's moment vector is computed
+    when the ledger is built."""
 
     sigma: float
+    charges: dict  # (task, block, q) -> steps
+    tasks: int     # the report has a row for each of tasks 1..tasks
+    one_block: bool = False
     lambda_max: int = DEFAULT_LAMBDA_MAX
-    charges: Counter = field(default_factory=Counter, init=False)  # (task, block, q) -> steps
-    tasks: int = field(default=0, init=False)  # tasks 1..tasks are registered
-    # q -> its per-step moment vector, computed at q's first charge
-    _alphas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _alphas: dict = field(init=False, repr=False, compare=False)  # q -> its moment vector
 
-    def register_task(self, task_id):
-        self.tasks = max(self.tasks, task_id)
-
-    def _charge(self, task_id, block_id, q):
-        if not 1 <= task_id <= self.tasks:
-            raise StateError(f"unknown task {task_id}")
-        if q not in self._alphas:
-            self._alphas[q] = step_log_moment(q, self.sigma, np.arange(1, self.lambda_max + 1))
-        self.charges[task_id, block_id, q] += 1
-
-    def track_training_step(self, task_id, q_train):
-        self._charge(task_id, 0, q_train)
-
-    def track_ref_step(self, task_id, chosen_block_id, q_ref_effective):
-        if not 1 <= chosen_block_id < task_id:
-            raise StateError("reference block must belong to an earlier task")
-        self._charge(task_id, chosen_block_id, q_ref_effective)
+    def __post_init__(self):
+        lams = np.arange(1, self.lambda_max + 1)
+        self._alphas = {q: step_log_moment(q, self.sigma, lams)
+                        for q in {q for _, _, q in self.charges}}
 
     def log_moments(self, rates):
         """alpha(1..lambda_max) of the steps rates counts (q -> n_q): the sum
@@ -212,9 +202,11 @@ class PrivacyLedger:
     def report(self, delta, policy: Policy) -> BudgetReport:
         rows, last = [], self.tasks
         for i in range(1, last + 1):
-            if policy is Policy.LEMMA2:
-                eps_ref = self.epsilon(i, range(1, i), delta)
-            else:
+            if policy is Policy.LEMMA1:
                 eps_ref = sum((self.epsilon(t, (i,), delta) for t in range(i + 1, last + 1)), 0.0)
+            elif self.one_block:
+                eps_ref = max((self.epsilon(i, (b,), delta) for b in range(1, i)), default=0.0)
+            else:
+                eps_ref = self.epsilon(i, range(1, i), delta)
             rows.append(TaskBudget(i, self.epsilon(i, (0,), delta), eps_ref))
         return BudgetReport(rows)

@@ -9,10 +9,6 @@ class InputError(ValueError):
     """A runtime input (batch, dataset, matrix row) violates a precondition."""
 
 
-class StateError(RuntimeError):
-    """An operation was called in an invalid state (e.g. a ledger charge for an unknown task)."""
-
-
 class ParseError(ValueError):
     """A binary archive could not be parsed; message names the file offset."""
 

@@ -15,9 +15,11 @@ buffers that run_stream makes once per run and adds the update to net.params
 in place; called without out=, nn.grad, nn.clipped_mean_grad and
 project_gradient return new arrays.
 
-What a step reads, draws and charges is decided once, by _plan, in one
-_Step record per step: the training rows, the rows of each block read, each
-release's noise address and std, and each q charged. run_stream walks the
+What a step reads and draws is decided once, by _plan, in one _Step record
+per step: the training rows, the rows of each block read, and each release's
+noise address and std. What the run charges is known before its first step:
+_ledger builds the whole charge table from the config and the block sizes,
+so no step charges anything. run_stream walks the
 records on this thread and makes each step from its record alone (_step),
 both of its releases through _release. One _NoiseSource per run queues each record's
 releases a record ahead of its step and draws their noise in order into the
@@ -132,33 +134,29 @@ def project_gradient(g, g_ref, rule: ProjectionRule, *, out=None) -> np.ndarray:
 
 
 class _Step(NamedTuple):
-    """What one step reads, draws and charges."""
+    """What one step reads and draws."""
     task_id: int
     step: int
     train_rows: np.ndarray  # the rows of its task's training split the training release reads
     block_ids: tuple  # the blocks its reference release reads; block i is task i's ref split
     ref_rows: tuple   # the rows it reads of each, min(k, |block|) drawn without replacement
     releases: tuple   # (noise address, noise std) per release, training first
-    q_train: float    # the q charged for the training release
-    q_blocks: tuple   # the q charged for each block read
 
 
 def _plan(cfg: TrainConfig, tasks):
     """The _Step records of tasks, (task_id, training split size, sizes of
     its stored blocks) triples, in step order. The training release reads
-    each row with probability p, charged p; a reference release reads one
-    uniformly chosen block (agem, dp_cl) or every block (dp_agem),
-    min(k, |block|) rows of each, each block charged at
-    share * min(k, |block|) / |block|. The noise of a release that averages B
-    clipped means has std sigma * beta / sqrt(B), that of the mean of B draws
-    at sigma * beta. Every row a step reads is drawn, and every std set, here."""
+    each row with probability p; a reference release reads one uniformly
+    chosen block (agem, dp_cl) or every block (dp_agem), min(k, |block|)
+    rows of each. The noise of a release that averages B clipped means has
+    std sigma * beta / sqrt(B), that of the mean of B draws at sigma * beta.
+    Every row a step reads is drawn, and every std set, here."""
     k, p, dp_agem = cfg.ref_batch_size, cfg.sampling_rate, cfg.mode is Mode.DP_AGEM
 
     def std(n_blocks):
         return cfg.noise.sigma / math.sqrt(n_blocks) * cfg.noise.clip_bound
 
     for task_id, n, sizes in tasks:
-        share = 1.0 if dp_agem or not sizes else 1.0 / len(sizes)
         for step in range(cfg.steps_per_task):
             train_rows = np.flatnonzero(_rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p)
             if dp_agem or not sizes:  # every block, or none before task 2
@@ -170,8 +168,25 @@ def _plan(cfg: TrainConfig, tasks):
             releases = (((_ROLE_TRAIN_NOISE, task_id, step), std(1)),)
             if ids:
                 releases += (((_ROLE_REF_NOISE, task_id, step, *ids), std(len(ids))),)
-            yield _Step(task_id, step, train_rows, ids, rows, releases, p,
-                        tuple(share * (len(r) / sizes[i - 1]) for i, r in zip(ids, rows)))
+            yield _Step(task_id, step, train_rows, ids, rows, releases)
+
+
+def _ledger(cfg: TrainConfig, sizes) -> PrivacyLedger:
+    """The charge table of a run whose task t stores a block of sizes[t - 1]
+    rows. No draw enters it: on every step of task t, the training release
+    is charged p, and every block i < t its exposure, the chance that the
+    step reads a given row of it, share * min(k, |i|) / |i|, with share 1
+    for dp_agem and 1 / (t - 1) for dp_cl, which reads one of the t - 1
+    blocks. agem charges nothing."""
+    charges, k, n = {}, cfg.ref_batch_size, cfg.steps_per_task
+    if cfg.mode is not Mode.AGEM:
+        for t in range(1, len(sizes) + 1):
+            charges[t, 0, cfg.sampling_rate] = n
+            for i, size in enumerate(sizes[:t - 1], start=1):
+                share = 1.0 if cfg.mode is Mode.DP_AGEM else 1.0 / (t - 1)
+                charges[t, i, share * (min(k, size) / size)] = n
+    return PrivacyLedger(cfg.noise.sigma, charges, len(sizes), cfg.mode is Mode.DP_CL,
+                         cfg.lambda_max)
 
 
 class _NoiseSource:
@@ -266,21 +281,17 @@ def _release(net, picks, cfg: TrainConfig, noise, *, out):
     return g, z
 
 
-def _step(net, record: _Step, stream: TaskStream, ledger, cfg: TrainConfig, noise):
+def _step(net, record: _Step, stream: TaskStream, cfg: TrainConfig, noise):
     """The step of record, made from it alone: the training release reads its
     train_rows, the update is projected against the reference release of its
-    ref_rows, if any, and added to net.params; ledger (None for agem) is
-    charged its qs. noise's three buffers rotate: the held one takes the
-    training mean and noise, that noise's buffer the reference mean and
-    noise, whose buffer goes back, then the projection; of the two, the one
-    without the update goes back. No step reads an entry it has not written."""
+    ref_rows, if any, and added to net.params. noise's three buffers rotate:
+    the held one takes the training mean and noise, that noise's buffer the
+    reference mean and noise, whose buffer goes back, then the projection; of
+    the two, the one without the update goes back. No step reads an entry it
+    has not written."""
     tasks = stream.tasks
     g, spare = _release(net, [(tasks[record.task_id - 1][0], record.train_rows)], cfg, noise,
                         out=noise.held)
-    if ledger is not None:
-        ledger.track_training_step(record.task_id, record.q_train)
-        for block_id, q in zip(record.block_ids, record.q_blocks):
-            ledger.track_ref_step(record.task_id, block_id, q)
     if record.block_ids:
         picks = [(tasks[i - 1][1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
         g_ref, z = _release(net, picks, cfg, noise, out=spare)
@@ -310,26 +321,24 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
         raise ConfigError("empty task stream")
     if any(len(ref) == 0 for _, ref, _, _ in stream.tasks):
         raise ConfigError("every task needs a non-empty reference split")
-    track_privacy = cfg.mode is not Mode.AGEM
-    if track_privacy and cfg.noise.sigma == 0:
+    if cfg.mode is not Mode.AGEM and cfg.noise.sigma == 0:
         raise ConfigError(f"mode {cfg.mode.value} releases gradients, so it needs sigma > 0")
+    sizes = [len(ref) for _, ref, _, _ in stream.tasks]
+    ledger = _ledger(cfg, sizes)
     first = stream.tasks[0][0]
     net = nn.DenseNet.create([first.feature_dim, *cfg.hidden_dims, first.num_classes], cfg.seed)
 
-    ledger = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
-    sizes = [len(ref) for _, ref, _, _ in stream.tasks]
     plan = _plan(cfg, [(t, len(train), sizes[:t - 1])
                        for t, (train, _, _, _) in enumerate(stream.tasks, start=1)])
     # one set of step buffers for the whole run
     with _NoiseSource(cfg, np.empty((3, net.num_params))) as noise:
         records = noise.ahead(plan)
         for t, (_, _, test_split, _) in enumerate(stream.tasks, start=1):
-            ledger.register_task(t)
             trace = [nn.accuracy(net, test_split)]  # after b = 0 updates
             for record in itertools.islice(records, cfg.steps_per_task):
-                _step(net, record, stream, ledger if track_privacy else None, cfg, noise)
+                _step(net, record, stream, cfg, noise)
                 if record.step < cfg.lca_beta:
                     trace.append(nn.accuracy(net, test_split))
             traces.append(trace)

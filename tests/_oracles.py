@@ -30,7 +30,7 @@ from scipy.special import gammaln, logsumexp
 from dpcl.accountant import step_log_moment
 from dpcl.data import IMAGE_MAGIC, LABEL_MAGIC, Dataset
 from dpcl.dp import NoiseConfig, draw_noise
-from dpcl.errors import InputError, NumericError, StateError
+from dpcl.errors import InputError, NumericError
 from dpcl.nn import _check_batch, log_softmax
 from dpcl.trainer import Mode, TrainConfig, _plan
 
@@ -277,7 +277,7 @@ def membership_expectation_check(blocks, q, trials, seed=0) -> dict:
     """
     sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
-        raise StateError("blocks must be equal size for the expectation check")
+        raise InputError("blocks must be equal size for the expectation check")
     block_size = sizes.pop()
     ref_batch_size = int(round(q * block_size))
     if ref_batch_size == 0:

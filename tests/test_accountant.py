@@ -15,9 +15,20 @@ from dpcl.accountant import (
     compose_epsilon,
     step_log_moment,
 )
-from dpcl.errors import ConfigError, InputError, StateError
+from dpcl.errors import ConfigError, InputError
 
-from _oracles import charged_rates, per_order_log_moment, quad_epsilon, quad_log_moment
+from _oracles import (
+    charged_rates,
+    counted_moments,
+    per_order_log_moment,
+    quad_epsilon,
+    quad_log_moment,
+)
+
+
+def ledger_of(charges, tasks, sigma=1.0, lambda_max=16, one_block=False):
+    """A ledger of charges, (task, block, q) -> steps, over tasks 1..tasks."""
+    return PrivacyLedger(sigma, dict(charges), tasks, one_block, lambda_max)
 
 
 def constant_budgets(n, eps=1.0, eps_ref=1.0):
@@ -75,10 +86,8 @@ def test_step_log_moment_rejects_bad_orders(lam):
 def test_accountant_rejects_nonfinite_sigma(sigma):
     with pytest.raises(ConfigError):
         step_log_moment(0.1, sigma, 4)
-    ledger = PrivacyLedger(sigma=sigma)
-    ledger.register_task(1)
     with pytest.raises(ConfigError):
-        ledger.track_training_step(1, 0.1)
+        ledger_of({(1, 0, 0.1): 1}, 1, sigma=sigma)
 
 
 def test_step_log_moment_vector_matches_per_order_oracle():
@@ -96,8 +105,7 @@ def test_step_log_moment_vector_matches_per_order_oracle():
 
 
 def test_compose_zero_steps_is_zero():
-    ledger = PrivacyLedger(sigma=1.0, lambda_max=16)
-    ledger.register_task(1)
+    ledger = ledger_of({}, 1)
     assert ledger.epsilon(1, (0,), 1e-5) == 0.0
     assert ledger.report(1e-5, Policy.LEMMA2).rows == [TaskBudget(1, 0.0, 0.0)]
 
@@ -119,8 +127,7 @@ def test_compose_rejects_bad_delta():
         compose_epsilon(np.zeros(4), 0.0)
     with pytest.raises(ConfigError):
         compose_epsilon(np.zeros(4), 1.0)
-    ledger = PrivacyLedger(sigma=1.0, lambda_max=4)
-    ledger.register_task(1)
+    ledger = ledger_of({}, 1, lambda_max=4)
     for policy in Policy:  # also where no step was charged
         with pytest.raises(ConfigError):
             ledger.report(1.0, policy)
@@ -205,46 +212,44 @@ def test_report_total_equals_sum_of_per_task():
 
 
 def test_ledger_single_step_matches_fresh_state():
-    ledger = PrivacyLedger(sigma=1.0, lambda_max=16)
-    ledger.register_task(1)
-    ledger.track_training_step(1, 0.1)
+    ledger = ledger_of({(1, 0, 0.1): 1}, 1)
     fresh = step_log_moment(0.1, 1.0, np.arange(1, 17))
     assert ledger.report(1e-4, Policy.LEMMA2).rows[0].eps_train == pytest.approx(
         compose_epsilon(fresh, 1e-4), abs=1e-12)
 
 
 def test_ledger_tasks_independent():
-    ledger = PrivacyLedger(sigma=1.0, lambda_max=16)
-    ledger.register_task(1)
-    ledger.register_task(2)
-    ledger.track_training_step(1, 0.1)
-    eps1_before = ledger.report(1e-4, Policy.LEMMA2).rows[0].eps_train
-    for _ in range(10):
-        ledger.track_training_step(2, 0.1)
-        ledger.track_ref_step(2, 1, 0.05)
-    first = ledger.report(1e-4, Policy.LEMMA2).rows[0]
-    assert first.eps_train == eps1_before
-    assert first.eps_ref == 0.0  # task 1 read no stored block
+    eps1_alone = ledger_of({(1, 0, 0.1): 1}, 2).report(1e-4, Policy.LEMMA2).rows[0].eps_train
+    both = {(1, 0, 0.1): 1, (2, 0, 0.1): 10, (2, 1, 0.05): 10}
+    for one_block in (False, True):
+        first = ledger_of(both, 2, one_block=one_block).report(1e-4, Policy.LEMMA2).rows[0]
+        assert first.eps_train == eps1_alone
+        assert first.eps_ref == 0.0  # task 1 read no stored block
 
 
 def test_ledger_moments_additive():
-    ledger = PrivacyLedger(sigma=1.0, lambda_max=8)
-    ledger.register_task(1)
-    for _ in range(100):
-        ledger.track_training_step(1, 0.05)
+    ledger = ledger_of({(1, 0, 0.05): 100}, 1, lambda_max=8)
     single = np.array([step_log_moment(0.05, 1.0, lam) for lam in range(1, 9)])
     assert ledger.charges == Counter({(1, 0, 0.05): 100})
     moments = ledger.log_moments(charged_rates(ledger, 1, (0,)))
     assert np.allclose(moments, 100 * single, rtol=1e-12)
 
 
-def test_ledger_rejects_unknown_ids():
-    ledger = PrivacyLedger(sigma=1.0)
-    with pytest.raises(StateError):
-        ledger.track_training_step(3, 0.1)
-    ledger.register_task(2)
-    with pytest.raises(StateError):
-        ledger.track_ref_step(2, 2, 0.1)  # block must be from an earlier task
+def test_lemma2_charges_a_one_block_read_its_costliest_block():
+    """Lemma 2 charges task 3 one read of the memory: when a read takes one
+    block, the charges of the block that costs most, else every block's
+    charges composed. Lemma 1 charges each block its own charges either way."""
+    charges = {(3, 0, 0.1): 20, (3, 1, 0.08): 20, (3, 2, 0.02): 20}
+
+    def eps(rates):
+        return compose_epsilon(counted_moments(Counter(rates), 1.0, 16)[0], 1e-5)
+
+    for one_block, eps_ref in ((True, eps({0.08: 20})), (False, eps({0.08: 20, 0.02: 20}))):
+        ledger = ledger_of(charges, 3, one_block=one_block)
+        assert ledger.report(1e-5, Policy.LEMMA2).rows[2] == TaskBudget(3, eps({0.1: 20}), eps_ref)
+        lemma1 = ledger.report(1e-5, Policy.LEMMA1).rows
+        assert [row.eps_ref for row in lemma1] == [
+            0.0 + eps({0.08: 20}), 0.0 + eps({0.02: 20}), 0.0]
 
 
 def test_report_csv_round_trip(tmp_path):
@@ -264,11 +269,9 @@ def test_report_csv_round_trip(tmp_path):
 def test_counted_moments_are_one_multiply_per_rate():
     # interleaved rates, as a stored block sees across tasks
     qs = [0.1, 0.05, 0.1, 1 / 3 * 0.2, 0.05, 0.1, 1 / 3 * 0.2] * 5
-    ledger = PrivacyLedger(sigma=1.3, lambda_max=16)
-    ledger.register_task(2)
+    ledger = ledger_of({(2, 1, q): n for q, n in Counter(qs).items()}, 2, sigma=1.3)
     sequential = np.zeros(16)
     for q in qs:
-        ledger.track_ref_step(2, 1, q)
         sequential = sequential + step_log_moment(q, 1.3, np.arange(1, 17))
     counts = charged_rates(ledger, 2, (1,))
     assert counts == Counter(qs) and sum(counts.values()) == len(qs)
@@ -281,13 +284,15 @@ def test_counted_moments_are_one_multiply_per_rate():
     assert ledger.epsilon(2, (1,), 1e-5) == compose_epsilon(expected, 1e-5)
 
 
-def _track_three_tasks(ledger, steps_per_task):
+def _three_tasks(steps_per_task):
+    """The charges of three dp_cl tasks: every step charges the training
+    release 0.1 and each stored block 0.05 / (t - 1)."""
+    charges = {}
     for t in (1, 2, 3):
-        ledger.register_task(t)
-        for _ in range(steps_per_task):
-            ledger.track_training_step(t, 0.1)
-            for block in range(1, t):
-                ledger.track_ref_step(t, block, 0.05 / (t - 1))
+        charges[t, 0, 0.1] = steps_per_task
+        for block in range(1, t):
+            charges[t, block, 0.05 / (t - 1)] = steps_per_task
+    return charges
 
 
 def test_ledger_evaluates_each_rate_once_per_ledger(monkeypatch):
@@ -301,13 +306,14 @@ def test_ledger_evaluates_each_rate_once_per_ledger(monkeypatch):
     monkeypatch.setattr(accountant, "step_log_moment", counting)
     lambda_max = 8
     per_ledger = 3  # (q, sigma): train 0.1, ref 0.05 and 0.025
-    first = PrivacyLedger(sigma=1.0, lambda_max=lambda_max)
-    _track_three_tasks(first, steps_per_task=5)
-    assert len(calls) == per_ledger
-    _track_three_tasks(first, steps_per_task=50)
+    first = ledger_of(_three_tasks(5), 3, lambda_max=lambda_max, one_block=True)
+    assert len(calls) == per_ledger  # when the ledger is built
+    for policy in Policy:
+        first.report(1e-5, policy)
+        first.epsilon(3, (1, 2), 1e-5)
     assert len(calls) == per_ledger
     # a fresh ledger pays for its own closed-form evaluations
-    _track_three_tasks(PrivacyLedger(sigma=1.0, lambda_max=lambda_max), steps_per_task=5)
+    ledger_of(_three_tasks(50), 3, lambda_max=lambda_max)
     assert len(calls) == 2 * per_ledger
     assert sorted({q for q, _, _ in calls}) == [0.025, 0.05, 0.1]
     assert all(np.array_equal(lam, np.arange(1, lambda_max + 1)) for _, _, lam in calls)
@@ -361,11 +367,7 @@ def test_sigma_whose_square_underflows_gives_infinite_epsilon(q):
     sigma = 1e-200
     assert 2.0 * sigma * sigma == 0.0
     assert np.all(np.isposinf(step_log_moment(q, sigma, np.arange(1, 65))))
-    ledger = PrivacyLedger(sigma=sigma, lambda_max=16)
-    ledger.register_task(1)
-    ledger.register_task(2)
-    ledger.track_training_step(1, q)
-    ledger.track_ref_step(2, 1, q)
+    ledger = ledger_of({(1, 0, q): 1, (2, 1, q): 1}, 2, sigma=sigma)
     (first, second) = ledger.report(1e-5, Policy.LEMMA2).rows
     assert first.eps_train == second.eps_ref == np.inf
     for policy in Policy:

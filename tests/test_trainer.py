@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcl import dp, nn, trainer
-from dpcl.accountant import Policy, PrivacyLedger, TaskBudget, compose_epsilon
+from dpcl.accountant import Policy, TaskBudget, compose_epsilon
 from dpcl.data import TaskSplit, TaskStream, make_permuted_stream, make_synthetic
 from dpcl.dp import NoiseConfig
 from dpcl.errors import ConfigError, NumericError
@@ -95,15 +95,15 @@ def test_projection_orthogonality_property(seed, dim):
 
 
 def train_alone(net, stream, task_id, cfg, buffers=None):
-    """The steps of task task_id of stream without a ledger, with a noise
-    source of their own (over buffers, when given)."""
+    """The steps of task task_id of stream, with a noise source of their own
+    (over buffers, when given)."""
     sizes = [len(ref) for _, ref, _, _ in stream.tasks[:task_id - 1]]
     plan = trainer._plan(cfg, [(task_id, len(stream.tasks[task_id - 1][0]), sizes)])
     if buffers is None:
         buffers = np.empty((3, net.num_params))
     with trainer._NoiseSource(cfg, buffers) as noise:
         for record in noise.ahead(plan):
-            trainer._step(net, record, stream, None, cfg, noise)
+            trainer._step(net, record, stream, cfg, noise)
     return net
 
 
@@ -572,6 +572,9 @@ def assert_counted(ledger, rates, sigma):
 
 
 def test_ledger_step_counts_match_loop_trips():
+    """Every step of task t charges its training release and every block
+    stored before it, each block at its exposure: a dp_cl step reads one
+    block of t - 1, then k of its |block| rows."""
     stream = small_stream(3)
     cfg = TrainConfig(mode=Mode.DP_CL, hidden_dims=(8,), sampling_rate=0.25,
                       epochs_per_task=5, ref_batch_size=4, seed=2)  # 20 steps per task
@@ -579,15 +582,16 @@ def test_ledger_step_counts_match_loop_trips():
     result = run_stream(stream, cfg)
     ledger = result.ledger
     assert [sum(charged_rates(ledger, t, (0,)).values()) for t in (1, 2, 3)] == [20, 20, 20]
-    reads = [charged_rates(ledger, t, range(1, t)) for t in (1, 2, 3)]
-    assert [sum(rates.values()) for rates in reads] == [0, 20, 20]
-    # one block of t-1 drawn per step, then k of its |block| examples
+    exposed = [charged_rates(ledger, t, range(1, t)) for t in (1, 2, 3)]
+    assert [sum(rates.values()) for rates in exposed] == [0, 20, 40]
     k, block = cfg.ref_batch_size, len(stream.tasks[0][1])
     assert k < block
     for t in (2, 3):
         q = (1.0 / (t - 1)) * (k / block)
-        assert reads[t - 1] == Counter({q: 20})
-        assert_counted(ledger, reads[t - 1], cfg.noise.sigma)
+        for i in range(1, t):
+            assert charged_rates(ledger, t, (i,)) == Counter({q: 20})
+        assert exposed[t - 1] == Counter({q: 20 * (t - 1)})
+        assert_counted(ledger, exposed[t - 1], cfg.noise.sigma)
 
 
 def test_dp_agem_charges_every_block():
@@ -622,6 +626,28 @@ def test_lemma1_total_is_at_least_the_lemma2_total(mode):
     assert lemma1 > lemma2 > 0
 
 
+def test_dp_cl_lemma1_charges_block_one_its_exposure_on_every_later_step():
+    """A 3-task dp_cl run: block 1's lemma 1 row is its training eps plus,
+    for t = 2, 3, the eps of every step of task t at block 1's exposure
+    (1 / (t - 1)) * min(k, |1|) / |1|, each composed from counted steps
+    rather than read off the ledger. Charging block 1 only on the steps that
+    chose it would leave about half of task 3's steps out."""
+    stream = small_stream(3)
+    cfg = private_cfg(Mode.DP_CL)
+    result = run_stream(stream, cfg)
+    n, k, size = cfg.steps_per_task, cfg.ref_batch_size, len(stream.tasks[0][1])
+    assert k < size
+
+    def eps(q):
+        return compose_epsilon(
+            counted_moments(Counter({q: n}), cfg.noise.sigma, cfg.lambda_max)[0], 1e-4)
+
+    exposures = [eps((1.0 / (t - 1)) * (min(k, size) / size)) for t in (2, 3)]
+    report = result.ledger.report(1e-4, Policy.LEMMA1)
+    assert report.rows[0] == TaskBudget(1, eps(cfg.sampling_rate),
+                                        0.0 + exposures[0] + exposures[1])
+
+
 def test_lemma1_charges_block_one_what_each_later_task_paid_to_read_it():
     """A 3-task dp_agem run: block 1's lemma 1 charge is its task's training
     eps plus the eps of each later task's reads of it, replayed from the
@@ -633,9 +659,9 @@ def test_lemma1_charges_block_one_what_each_later_task_paid_to_read_it():
     plan = trainer._plan(cfg, [(t, len(stream.tasks[t - 1][0]), sizes[:t - 1]) for t in (1, 2, 3)])
     reads = {2: Counter(), 3: Counter()}  # reading task -> {q: steps} of its reads of block 1
     for record in plan:
-        for block_id, q in zip(record.block_ids, record.q_blocks):
+        for block_id, rows in zip(record.block_ids, record.ref_rows):
             if block_id == 1:
-                reads[record.task_id][q] += 1
+                reads[record.task_id][len(rows) / sizes[0]] += 1
     assert [sum(rates.values()) for rates in reads.values()] == [cfg.steps_per_task] * 2
     eps_train = result.ledger.epsilon(1, (0,), 1e-4)
     eps_reads = [compose_epsilon(counted_moments(rates, cfg.noise.sigma, cfg.lambda_max)[0], 1e-4)
@@ -728,12 +754,12 @@ def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatc
 @pytest.mark.parametrize("gate", [0, 1 << 16])
 @pytest.mark.parametrize("mode", list(Mode))
 def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
-    """Charging the plan's records, in order, into a fresh ledger gives the
-    run's (task, block, q) counts exactly, and the releases gather exactly
-    the rows the records name: each record's training release its train_rows of its
-    task's training split (nothing when they are none), then its reference
-    release the rows of the blocks it names, in the record's order.
-    Evaluations also gather, so only the gathers inside a release count."""
+    """The run's ledger is the one built from the config and the block
+    sizes, and the releases gather exactly the rows the plan's records name:
+    each record's training release its train_rows of its task's training
+    split (nothing when they are none), then its reference release the rows
+    of the blocks it names, in the record's order. Evaluations also gather,
+    so only the gathers inside a release count."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
     stream = small_stream(4)
     records, releases, inside = [], [], []
@@ -773,16 +799,7 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     for read, names in zip(releases, planned):
         assert [split for split, _ in read] == [split for split, _ in names]
         assert all(np.array_equal(idx, rows) for (_, idx), (_, rows) in zip(read, names))
-    if mode is Mode.AGEM:
-        return
-    replay = PrivacyLedger(cfg.noise.sigma, cfg.lambda_max)
-    for t in range(1, 5):
-        replay.register_task(t)
-    for record in records:
-        replay.track_training_step(record.task_id, record.q_train)
-        for block_id, q in zip(record.block_ids, record.q_blocks):
-            replay.track_ref_step(record.task_id, block_id, q)
-    assert list(result.ledger.charges.items()) == list(replay.charges.items())
+    assert result.ledger == trainer._ledger(cfg, [len(ref) for _, ref, _, _ in stream.tasks])
 
 
 def test_dp_cl_and_dp_agem_coincide_with_single_block():
