@@ -98,6 +98,8 @@ def _build_stream(spec: RunSpec):
 def _build_config(spec: RunSpec, train_size: int, noise: NoiseConfig) -> TrainConfig:
     p = spec.sampling_rate
     if spec.batch is not None:
+        if spec.batch < 1:
+            raise ConfigError("--batch must be >= 1")
         p = min(1.0, spec.batch / train_size)
     hidden = tuple(int(h) for h in spec.hidden.split(",") if h)
     return TrainConfig(

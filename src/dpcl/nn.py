@@ -13,6 +13,8 @@ through its views of one flat vector: out=, or a new array when None.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import dp
@@ -130,8 +132,12 @@ def _example_sq_norms(acts, deltas):
 
 def grad(net: DenseNet, x, y, *, out=None) -> np.ndarray:
     """Exact gradient of the mean softmax cross entropy of (x, y) w.r.t. the
-    flattened parameters, written into out (a new array when out is None)."""
-    return _mean_over_examples(net, *_backward(net, x, y), out)
+    flattened parameters, written into out (a new array when out is None).
+    Raises NumericError when ||g||^2 is not finite, like clipped_mean_grad."""
+    g = _mean_over_examples(net, *_backward(net, x, y), out)
+    if not math.isfinite(g @ g):
+        raise NumericError("gradient contains NaN/Inf")
+    return g
 
 
 def clipped_mean_grad(net: DenseNet, x, y, beta, sizes=None, *, out=None) -> np.ndarray:

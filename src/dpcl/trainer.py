@@ -19,17 +19,18 @@ What a step reads and draws is decided once, by _plan, in one _Step record
 per step: the training rows, the rows of each block read, and each release's
 noise address and std. What the run charges is known before its first step:
 _ledger builds the whole charge table from the config and the block sizes,
-so no step charges anything. run_stream walks the
-records on this thread and makes each step from its record alone (_step),
-both of its releases through _release. One _NoiseSource per run queues each record's
-releases a record ahead of its step and draws their noise in order into the
-step buffers; at 2**16 parameters or more, a private run draws on a helper
-thread that draws noise and nothing else, started after the net is made and
-joined before run_stream returns or raises. The next step's draws then run
-while this thread projects, updates, evaluates and computes the clipped
-means, and numpy draws without holding the interpreter lock, so on a second
-core. Smaller nets draw inline, because there the handoff costs more than
-the overlap saves. Both ways give bitwise the same results.
+so no step charges anything. run_stream walks the records on this thread and
+makes each step from its record alone (_step), both of its releases through
+_release. One _NoiseSource per run queues each record's releases a record
+ahead of its step and draws their noise in order into the step buffers, each
+release once a buffer is free for it; at 2**16 parameters or more, a private
+run submits each draw to a one-worker pool, made after the net and shut down
+before run_stream returns or raises. The next step's draws then run while
+this thread projects, updates, evaluates and computes the clipped means, and
+numpy draws without holding the interpreter lock, so on a second core.
+Smaller nets draw on this thread, because there the handoff costs more than
+the overlap saves. Both ways give bitwise the same results, and a failed
+draw raises its own error.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -61,7 +62,7 @@ _ROLE_REF_IDX = 12
 _ROLE_REF_NOISE = 13
 _ROLE_TRAIN_NOISE = 14
 
-# private steps of nets this large draw their noise on a helper thread
+# private steps of nets this large draw their noise on a worker thread
 _DRAW_AHEAD_MIN_PARAMS = 1 << 16
 
 
@@ -193,68 +194,56 @@ class _NoiseSource:
     """Draws the noise of the releases ahead queues (dp.draw_noise at each
     one's address and std), in order, into the buffers after the first, which
     the step holds (held); an agem source draws nothing and lends its buffers.
-    take hands out the next noise; give takes a buffer back. In a with block,
-    a private net of _DRAW_AHEAD_MIN_PARAMS or more parameters draws on a
-    helper thread, joined when the block ends; otherwise take draws."""
+    take hands out the next noise; give takes a buffer back. A release is
+    drawn once it has a free buffer: in a with block, a private net of
+    _DRAW_AHEAD_MIN_PARAMS or more parameters draws on a one-worker pool,
+    shut down when the block ends; otherwise the draw runs at once."""
 
     def __init__(self, cfg: TrainConfig, buffers):
         self.held, *free = buffers
-        self._free, self._queued, self._drawn = (queue.SimpleQueue() for _ in range(3))
-        for z in free:
-            self._free.put(z)
-        self._seed, self._helper = None if cfg.mode is Mode.AGEM else cfg.noise.seed, None
+        self._queued, self._free, self._drawn = deque(), deque(free), deque()
+        self._seed, self._pool = None if cfg.mode is Mode.AGEM else cfg.noise.seed, None
 
     def __enter__(self):
         if self._seed is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
-            # the helper sees the queues, not self, so a finished source is freed at once
-            self._helper = threading.Thread(target=self._draw_ahead, daemon=True, args=(
-                self._queued, self._free, self._drawn, self._seed))
-            self._helper.start()
+            self._pool = ThreadPoolExecutor(1)
         return self
 
     def __exit__(self, *exc):
-        if self._helper is not None:
-            self._queued.put(None)  # stops the helper at the next release
-            self._free.put(None)    # or at the next buffer it waits for
-            self._helper.join()
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)  # waits for the draw under way
 
-    @staticmethod
-    def _draw(queued, free, seed, block=True):
-        """The next queued release's noise, drawn into a free buffer; None past
-        the plan's end or once the source stops. Unless block, raises queue.Empty."""
-        release = queued.get(block)
-        z = None if release is None else free.get(block)
-        if z is not None and seed is not None:
-            z = draw_noise(seed, *release, z)
-        return z
-
-    @staticmethod
-    def _draw_ahead(queued, free, drawn, seed):
-        try:
-            while (z := _NoiseSource._draw(queued, free, seed)) is not None:
-                drawn.put(z)
-        finally:
-            drawn.put(None)  # so that take raises rather than waits
+    def _start(self):
+        """Pairs each queued release, in order, with a free buffer and draws its noise."""
+        while self._queued and self._free:
+            release, z = self._queued.popleft(), self._free.popleft()
+            if self._pool is not None:
+                z = self._pool.submit(draw_noise, self._seed, *release, z)
+            elif self._seed is not None:
+                z = draw_noise(self._seed, *release, z)
+            self._drawn.append(z)
 
     def ahead(self, plan):
         """plan's records in order, each handed out once the next one's
         releases are queued, so that their noise is drawn a record ahead."""
         for record, upcoming in itertools.pairwise(itertools.chain([None], plan, [None])):
-            for release in upcoming.releases if upcoming else [None]:  # None ends the plan
-                self._queued.put(release)
+            if upcoming is not None:
+                self._queued.extend(upcoming.releases)
+                self._start()
             if record is not None:
                 yield record
 
     def take(self):
-        """The next queued release's noise, in a buffer the caller gives back."""
-        z = self._drawn.get() if self._helper else self._draw(
-            self._queued, self._free, self._seed, block=False)
-        if z is None:
+        """The next queued release's noise, in a buffer the caller gives back;
+        a draw that failed on the pool raises its error here."""
+        if not self._drawn:
             raise RuntimeError("no queued release is left to take")
-        return z
+        z = self._drawn.popleft()
+        return z.result() if self._pool is not None else z
 
     def give(self, z):
-        self._free.put(z)
+        self._free.append(z)
+        self._start()
 
 
 def _release(net, picks, cfg: TrainConfig, noise, *, out):

@@ -137,6 +137,26 @@ def test_run_nonfinite_feature_exits_numeric(tmp_path, capsys, monkeypatch, bad)
     assert not out.exists()
 
 
+def test_diverging_agem_run_exits_numeric(tmp_path, capsys):
+    """At a learning rate of 1e300 the noiseless run's parameters overflow,
+    and its gradient fails the same finiteness check as a private one."""
+    out = tmp_path / "diverged"
+    with np.errstate(all="ignore"):
+        code = main(["run", "--mode", "agem", "--learning-rate", "1e300", "--tasks", "2",
+                     "--seed", "0", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: gradient contains NaN/Inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("batch", ["0", "-3"])
+def test_run_batch_below_one_names_the_flag(tmp_path, capsys, batch):
+    out = tmp_path / "bad"
+    assert main(["run", "--batch", batch, "--tasks", "2", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --batch must be >= 1\n"
+    assert not out.exists()
+
+
 def test_run_out_under_a_file_exits_config_before_training(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("keep")

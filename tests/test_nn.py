@@ -289,6 +289,16 @@ def test_clipped_mean_grad_raises_on_nonfinite_feature(bad):
         clipped_mean_grad(net, data.x, data.y, 0.1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grad_raises_on_nonfinite_feature(bad):
+    net = DenseNet.create([4, 3, 3], seed=0)
+    data = make_synthetic(4, 3, 3, 0.6, seed=0)
+    data.x[4, 1] = bad
+    with pytest.raises(NumericError):
+        grad(net, data.x, data.y)
+
+
 def test_accuracy_perfect_and_crafted_zero():
     net = zero_net([2, 3])
     # zero net predicts class 0 always (argmax ties break low)

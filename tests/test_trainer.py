@@ -386,9 +386,9 @@ def test_train_task_drawing_ahead_never_reads_a_buffer_before_writing_it(mode, m
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("nan_feature", [False, True])
 def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
-    """The helper thread is joined when a task's steps return inside their
+    """The noise worker is shut down when a task's steps return inside their
     noise source's with block and when a NaN feature makes one raise; each
-    helper draw is slowed, so a draw left running would land in the buffers
+    worker draw is slowed, so a draw left running would land in the buffers
     after the call."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
@@ -417,8 +417,8 @@ def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_no_draw_outlives_a_run_that_raises_in_task_two(monkeypatch):
-    """run_stream's helper thread is joined when a NaN feature in task 2
-    makes the run raise; each helper draw is slowed, so a draw left running
+    """run_stream's noise worker is shut down when a NaN feature in task 2
+    makes the run raise; each worker draw is slowed, so a draw left running
     would land in the run's buffers after the call."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
@@ -463,8 +463,7 @@ def test_step_buffers_are_freed_when_training_returns(mode, gate, monkeypatch):
 @pytest.mark.parametrize("draw_ahead", [False, True])
 def test_noise_taken_past_the_plan_raises(draw_ahead, monkeypatch):
     """take hands out each queued release's noise in order; past the plan's
-    end it raises rather than waits, and so it does once the helper has
-    stopped."""
+    end it raises rather than waits."""
     if draw_ahead:
         monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
@@ -479,9 +478,9 @@ def test_noise_taken_past_the_plan_raises(draw_ahead, monkeypatch):
 
 
 def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
-    """The helper has drawn into both buffers it was lent and waits for one
-    that is never given back; leaving the with block still stops and joins
-    it. The block runs on a thread of its own, so a hang fails the test."""
+    """The with block is left with releases still queued and no free buffer
+    for them, one drawn buffer never given back; leaving it returns within
+    10 s. The block runs on a thread of its own, so a hang fails the test."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
     plan = list(trainer._plan(cfg, [(1, 4, [])]))[:3]
@@ -495,6 +494,31 @@ def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
     block.start()
     block.join(timeout=10)
     assert not block.is_alive()
+
+
+class DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("gate", [0, 1 << 16])
+def test_a_failed_draw_raises_its_own_error(gate, monkeypatch):
+    """A draw that fails on the noise worker (gate 0) or inline raises its own
+    error from run_stream, and no thread is left running."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
+    calls, real = [], trainer.draw_noise
+
+    def failing_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise DrawFailed("third draw")
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "draw_noise", failing_third)
+    threads = threading.active_count()
+    with pytest.raises(DrawFailed, match="third draw"):
+        run_stream(small_stream(2), private_cfg(Mode.DP_CL, epochs_per_task=1))
+    assert threading.active_count() == threads
+    assert len(calls) >= 3
 
 
 def test_full_width_dp_agem_joint_release_draws_ahead_bitwise(monkeypatch):
