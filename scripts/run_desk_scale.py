@@ -7,26 +7,15 @@ composition policies, and writes per-run artifacts under --out.
 """
 
 import argparse
-import os
-import secrets
-import sys
+from dataclasses import replace
+from pathlib import Path
 
 from dpcl.accountant import Policy
-from dpcl.cli import EXIT_CONFIG, EXIT_OK, SETUP_ERRORS, check_out_dir
-from dpcl.data import make_permuted_stream, make_synthetic
-from dpcl.dp import NoiseConfig
-from dpcl.metrics import average_accuracy, forgetting, lca
-from dpcl.trainer import Mode, TrainConfig, run_stream
+from dpcl.cli import EXIT_OK, RunSpec, exits, prepare, summary
+from dpcl.trainer import run_stream
 
 
-def summarize(name, result, n_tasks, lca_beta):
-    acc = average_accuracy(result.matrix, n_tasks)
-    f_mean, f_worst = forgetting(result.matrix, n_tasks)
-    print(f"{name}: avg_acc={acc:.3f} forgetting={f_mean:.3f} "
-          f"worst={f_worst:.3f} lca={lca(result.curve, lca_beta):.3f}")
-    return acc
-
-
+@exits
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tasks", type=int, default=5)
@@ -38,42 +27,34 @@ def main():
     if args.tasks < 2:  # forgetting compares each task's accuracy with a later one
         parser.error("--tasks must be at least 2")
     if args.seed is None:  # a published default seed would let anyone regenerate the noise
-        args.seed = secrets.randbits(128)
         print("seed: unrecorded (drawn from OS entropy)")
 
-    try:
-        check_out_dir(args.out)  # fail now, not after training
-        base = make_synthetic(64, 5, 60, 0.8, seed=args.seed)
-        stream = make_permuted_stream(base, args.tasks, seed=args.seed, ref_fraction=0.2)
-        common = dict(hidden_dims=(64, 64), sampling_rate=0.2, ref_batch_size=32,
-                      seed=args.seed)
-        noiseless_cfg = TrainConfig(
-            mode=Mode.AGEM, noise=NoiseConfig(sigma=0.0),
-            learning_rate=0.1, epochs_per_task=30, **common)
-        private_cfg = TrainConfig(
-            mode=Mode.DP_CL, noise=NoiseConfig(sigma=1.0, clip_bound=0.1, seed=args.seed),
-            learning_rate=0.02, epochs_per_task=120, **common)
-    except SETUP_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    private_spec, stream, private_cfg = prepare(RunSpec(
+        mode="dp_cl", tasks=args.tasks, seed=args.seed, out=args.out, synth_dim=64,
+        synth_classes=5, synth_per_class=60, synth_margin=0.8, ref_fraction=0.2,
+        hidden="64,64", sampling_rate=0.2, ref_batch=32, sigma=1.0, clip=0.1,
+        learning_rate=0.02, epochs=120))
+    # the private run's seed, so the noiseless run trains on the same stream
+    _, _, noiseless_cfg = prepare(
+        replace(private_spec, mode="agem", sigma=0.0, learning_rate=0.1, epochs=30))
 
     noiseless = run_stream(stream, noiseless_cfg)
     private = run_stream(stream, private_cfg)
 
-    summarize("noiseless ", noiseless, args.tasks, 10)
-    summarize("private   ", private, args.tasks, 10)
+    print(f"noiseless : {summary(noiseless, noiseless_cfg)}")
+    print(f"private   : {summary(private, private_cfg)}")
 
-    os.makedirs(args.out, exist_ok=True)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, result in (("noiseless", noiseless), ("private", private)):
-        result.matrix.write_csv(os.path.join(args.out, f"{name}_accuracy_matrix.csv"))
+        result.matrix.write_csv(out / f"{name}_accuracy_matrix.csv")
     for policy in Policy:
         report = private.ledger.report(1e-4, policy)
-        path = os.path.join(args.out, f"private_budget_{policy.value}.csv")
-        report.write_csv(path)
+        report.write_csv(out / f"private_budget_{policy.value}.csv")
         print(f"private total epsilon ({policy.value}, delta=1e-4): {report.total:.3f}")
     print(f"artifacts written to {args.out}/")
     return EXIT_OK
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -1,11 +1,13 @@
 """Command-line entry points: `run` trains through a task stream and emits
 CSV artifacts; `budget-curve` compares cumulative privacy totals under the
-two composition policies."""
+two composition policies. The protocol scripts are presets over the same
+setup (`prepare`), metrics (`run_metrics`) and exit path (`exits`)."""
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import secrets
 import sys
@@ -26,9 +28,6 @@ from .trainer import Mode, ProjectionRule, TrainConfig, run_stream
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-# what building a stream and config raises on bad input: ConfigError, InputError
-# and ParseError are ValueErrors; OSError is a missing or unreadable file
-SETUP_ERRORS = (ValueError, OSError)
 _TRAIN = TrainConfig()  # the training defaults of `run` are its field defaults
 
 
@@ -84,15 +83,12 @@ def _build_stream(spec: RunSpec):
         if not spec.labels:
             raise ConfigError("--labels is required with --images")
         base = load_idx_archive(spec.images, spec.labels)
-        test = None
-        if spec.test_images:
-            test = load_idx_archive(spec.test_images, spec.test_labels)
-        return make_permuted_stream(base, spec.tasks, spec.seed,
-                                   ref_fraction=spec.ref_fraction, test=test)
-    base = make_synthetic(spec.synth_dim, spec.synth_classes, spec.synth_per_class,
-                          spec.synth_margin, spec.seed)
+    else:
+        base = make_synthetic(spec.synth_dim, spec.synth_classes, spec.synth_per_class,
+                              spec.synth_margin, spec.seed)
+    test = load_idx_archive(spec.test_images, spec.test_labels) if spec.test_images else None
     return make_permuted_stream(base, spec.tasks, spec.seed,
-                                ref_fraction=spec.ref_fraction)
+                                ref_fraction=spec.ref_fraction, test=test)
 
 
 def _build_config(spec: RunSpec, train_size: int, noise: NoiseConfig) -> TrainConfig:
@@ -119,58 +115,82 @@ def _build_config(spec: RunSpec, train_size: int, noise: NoiseConfig) -> TrainCo
     )
 
 
-def check_out_dir(out) -> Path:
-    """out as a Path; raises ConfigError when it cannot become a directory
-    (it or an ancestor is a file), so that a run can fail before training."""
-    out = Path(out)
-    nearest = next(p for p in (out, *out.parents) if p.exists())
-    if not nearest.is_dir():
-        raise ConfigError(f"--out {out}: {nearest} is not a directory")
-    return out
-
-
-def cmd_run(spec: RunSpec) -> int:
+def prepare(spec: RunSpec):
+    """(seeded spec, stream, TrainConfig) of a run, built before any training;
+    a spec that cannot run raises ConfigError or OSError. A spec without a
+    seed gets one drawn from OS entropy, which its caller does not record."""
     run = spec if spec.seed is not None else replace(spec, seed=secrets.randbits(128))
+    out = Path(run.out)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():  # fail now, not after training
+        raise ConfigError(f"--out {out}: {nearest} is not a directory")
     try:
-        out = check_out_dir(spec.out)
         # the noise config checks the seed before the stream generator sees it
         noise = NoiseConfig(sigma=run.sigma, clip_bound=run.clip, seed=run.seed)
         stream = _build_stream(run)
-        cfg = _build_config(run, len(stream.tasks[0][0]), noise)
-    except SETUP_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = run_stream(stream, cfg)
-    except ConfigError as exc:  # raised before any training
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return run, stream, _build_config(run, len(stream.tasks[0][0]), noise)
+    except ValueError as exc:  # also a ParseError, or int()'s or numpy's on a bad value
+        raise ConfigError(exc) from exc
 
-    t = stream.num_tasks
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        result.matrix.write_csv(out / "accuracy_matrix.csv")
-        with open(out / "metrics.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["metric", "value"])
-            for k in range(1, t + 1):
-                w.writerow([f"avg_accuracy_after_{k}", repr(average_accuracy(result.matrix, k))])
-            if t >= 2:
-                f_mean, f_worst = forgetting(result.matrix, t)
-                w.writerow(["forgetting", repr(f_mean)])
-                w.writerow(["worst_case_forgetting", repr(f_worst)])
-            beta = min(cfg.lca_beta, len(result.curve) - 1)
-            w.writerow(["lca", repr(lca(result.curve, beta))])
-            w.writerow(["final_params_sha256", hashlib.sha256(result.net.params).hexdigest()])
-        result.report.write_csv(out / "budget_report.csv")
-        with open(out / "run_manifest.cfg", "w") as f:
-            f.write("\n".join(spec.manifest_lines()) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+
+def exits(command):
+    """The one exit path of `dpcl run`, `dpcl budget-curve` and the protocol
+    scripts: command returns EXIT_OK; bad input, a config that run_stream
+    rejects or an unwritable output returns EXIT_CONFIG with one `error:`
+    line, and a NumericError EXIT_NUMERIC with one `numeric failure:` line.
+    numpy's floating-point warnings are off, so that line stands alone."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            with np.errstate(all="ignore"):
+                return command(*args, **kwargs)
+        except (ConfigError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+
+    return run
+
+
+def run_metrics(result, cfg) -> dict:
+    """metrics.csv's values of a finished run: the average accuracy after each
+    task, forgetting and its worst case from two tasks on, and the area under
+    the learning curve."""
+    matrix, t = result.matrix, result.matrix.num_tasks
+    metrics = {f"avg_accuracy_after_{k}": average_accuracy(matrix, k) for k in range(1, t + 1)}
+    if t >= 2:
+        metrics["forgetting"], metrics["worst_case_forgetting"] = forgetting(matrix, t)
+    # tasks of fewer steps have shorter curves
+    metrics["lca"] = lca(result.curve, min(cfg.lca_beta, len(result.curve) - 1))
+    return metrics
+
+
+def summary(result, cfg) -> str:
+    """The protocol scripts' one-line summary of a run of two or more tasks."""
+    m = run_metrics(result, cfg)
+    avg = m[f"avg_accuracy_after_{result.matrix.num_tasks}"]
+    return (f"avg_acc={avg:.3f} forgetting={m['forgetting']:.3f} "
+            f"worst={m['worst_case_forgetting']:.3f} lca={m['lca']:.3f}")
+
+
+@exits
+def cmd_run(spec: RunSpec) -> int:
+    run, stream, cfg = prepare(spec)
+    result = run_stream(stream, cfg)
+    out = Path(run.out)
+    out.mkdir(parents=True, exist_ok=True)
+    result.matrix.write_csv(out / "accuracy_matrix.csv")
+    with open(out / "metrics.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["metric", "value"])
+        w.writerows([name, repr(value)] for name, value in run_metrics(result, cfg).items())
+        w.writerow(["final_params_sha256", hashlib.sha256(result.net.params).hexdigest()])
+    result.report.write_csv(out / "budget_report.csv")
+    with open(out / "run_manifest.cfg", "w") as f:
+        f.write("\n".join(spec.manifest_lines()) + "\n")
     print(f"wrote artifacts to {out}")
     return EXIT_OK
 
@@ -195,18 +215,15 @@ def budget_curve_table(eps_mean, eps_std, n_tasks, seed):
     return rows
 
 
+@exits
 def cmd_budget_curve(eps_mean, eps_std, n_tasks, seed, out=None) -> int:
-    try:
-        rows = budget_curve_table(eps_mean, eps_std, n_tasks, seed)
-        lines = [["T", "lemma1_total", "lemma2_total"]]
-        lines += [[t, repr(a), repr(b)] for t, a, b in rows]
-        if out:
-            Path(out).parent.mkdir(parents=True, exist_ok=True)
-            with open(out, "w", newline="") as f:
-                csv.writer(f).writerows(lines)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows = budget_curve_table(eps_mean, eps_std, n_tasks, seed)
+    lines = [["T", "lemma1_total", "lemma2_total"]]
+    lines += [[t, repr(a), repr(b)] for t, a, b in rows]
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w", newline="") as f:
+            csv.writer(f).writerows(lines)
     for row in lines:
         print(",".join(str(v) for v in row))
     return EXIT_OK

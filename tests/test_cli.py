@@ -427,6 +427,28 @@ def test_run_with_seed_uses_and_records_it(tmp_path, monkeypatch):
     assert "seed = 0" in (tmp_path / "run" / "run_manifest.cfg").read_text().splitlines()
 
 
+def src_env():
+    """The environment of a child process that imports dpcl from this tree."""
+    src = str(Path(dpcl.cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+@pytest.mark.parametrize("flags", [["--mode", "agem", "--learning-rate", "1e300"],
+                                   ["--mode", "dp_cl", "--sigma", "1e300"]],
+                         ids=["agem_learning_rate", "dp_cl_sigma"])
+def test_numeric_failure_is_the_only_stderr_line(tmp_path, flags):
+    """numpy's overflow warnings from the diverging net do not reach stderr
+    ahead of the one failure line."""
+    out = tmp_path / "diverged"
+    done = subprocess.run([sys.executable, "-m", "dpcl.cli", "run", *flags, "--tasks", "2",
+                           "--seed", "0", "--out", str(out)],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert done.returncode == EXIT_NUMERIC
+    assert done.stderr == "numeric failure: gradient contains NaN/Inf\n"
+    assert not out.exists()
+
+
 IMPORT_CHECK = """
 import sys
 import dpcl, dpcl.cli
@@ -440,11 +462,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 
 def test_cli_runs_without_importing_scipy(tmp_path):
-    src = str(Path(dpcl.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", IMPORT_CHECK, str(tmp_path / "run")],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=src_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run" / "budget_report.csv").exists()

@@ -1,6 +1,7 @@
 """The two protocol scripts: a run left at its defaults draws an unrecorded
-noise seed, an explicit --seed is used as given, and bad inputs exit 2 with
-one error line before anything trains."""
+noise seed, an explicit --seed is used as given, bad inputs exit 2 with one
+error line before anything trains, a numeric failure exits 3 with one line,
+and a full-scale run is the `dpcl run` with the protocol's flags."""
 
 import importlib.util
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from dpcl.cli import main as cli_main
 
 from _oracles import write_idx_archive
 
@@ -25,11 +28,12 @@ def load_script(name):
     return module
 
 
-def tiny_archives(tmp_path):
+def tiny_archives(tmp_path, n_train=120):
     """Train and test archive pairs of 4x4 images in three classes; after the
-    reference split, 108 training examples remain for the script's batch of 100."""
+    reference split, 108 of the default 120 training examples remain for the
+    script's batch of 100."""
     rng = np.random.default_rng(0)
-    for prefix, n in (("train", 120), ("t10k", 12)):
+    for prefix, n in (("train", n_train), ("t10k", 12)):
         write_idx_archive(tmp_path / f"{prefix}-images-idx3-ubyte",
                           tmp_path / f"{prefix}-labels-idx1-ubyte",
                           rng.integers(0, 256, size=(n, 4, 4)), np.arange(n) % 3)
@@ -96,6 +100,63 @@ def test_full_scale_script_runs_to_its_artifacts(tmp_path, monkeypatch, capsys):
         assert line == f"total epsilon ({policy}, delta=1e-4): {total:.3f}"
         printed.append(float(line.split()[-1]))
     assert printed[0] >= printed[1]
+
+
+def test_full_scale_script_is_a_preset_of_dpcl_run(tmp_path, monkeypatch, capsys):
+    """The script's private matrix and lemma 2 report are those of `dpcl run`
+    with the protocol's flags, byte for byte."""
+    args = tiny_archives(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["run_full_scale", *args, "--tasks", "2", "--seed", "0",
+                                      "--out", str(tmp_path / "script")])
+    assert load_script("run_full_scale").main() == 0
+    archives = [arg for flag, stem in (("--images", "train-images-idx3"),
+                                       ("--labels", "train-labels-idx1"),
+                                       ("--test-images", "t10k-images-idx3"),
+                                       ("--test-labels", "t10k-labels-idx1"))
+                for arg in (flag, str(tmp_path / f"{stem}-ubyte"))]
+    assert cli_main(["run", *archives, "--tasks", "2",
+                     "--seed", "0", "--mode", "dp_cl", "--sigma", "1", "--clip", "0.1",
+                     "--ref-fraction", "0.1", "--hidden", "256,256", "--learning-rate", "0.1",
+                     "--batch", "100", "--ref-batch", "50", "--epochs", "1", "--delta", "1e-4",
+                     "--policy", "lemma2", "--out", str(tmp_path / "cli")]) == 0
+    for script_csv, cli_csv in (("dp_cl_accuracy_matrix.csv", "accuracy_matrix.csv"),
+                                ("dp_cl_budget_lemma2.csv", "budget_report.csv")):
+        assert (tmp_path / "script" / script_csv).read_bytes() == \
+            (tmp_path / "cli" / cli_csv).read_bytes()
+
+
+def test_full_scale_batch_is_clamped_to_a_small_training_split(tmp_path, monkeypatch, capsys):
+    """A 100-row archive leaves 90 training rows: the batch of 100 trains at
+    p = 1, as `dpcl run --batch 100` does, instead of failing."""
+    args = tiny_archives(tmp_path, n_train=100)
+    module = load_script("run_full_scale")
+    seen, real = [], module.run_stream
+    monkeypatch.setattr(module, "run_stream", lambda stream, cfg: seen.append(
+        (len(stream.tasks[0][0]), cfg.sampling_rate)) or real(stream, cfg))
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_full_scale", *args, "--tasks", "2", "--seed", "0",
+                                      "--out", str(out)])
+    assert module.main() == 0
+    assert seen == [(90, 1.0)]
+    assert (out / "dp_cl_accuracy_matrix.csv").exists()
+
+
+@pytest.mark.parametrize("sigma, code, line", [
+    ("1e300", 3, "numeric failure: gradient contains NaN/Inf"),
+    ("0", 2, "error: mode dp_cl releases gradients, so it needs sigma > 0"),
+], ids=["diverges", "no_noise"])
+def test_full_scale_failure_exits_like_dpcl_run(sigma, code, line, tmp_path, monkeypatch,
+                                                capsys):
+    """A sigma that overflows the net exits 3, and a private run without
+    noise exits 2 before training: one line each, no traceback, no --out."""
+    args = tiny_archives(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_full_scale", *args, "--sigma", sigma,
+                                      "--tasks", "2", "--seed", "0", "--out", str(out)])
+    assert load_script("run_full_scale").main() == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+    assert not out.exists()
 
 
 def failed_run(name, args, monkeypatch, capsys):
