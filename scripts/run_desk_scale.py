@@ -10,6 +10,8 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from dpcl.accountant import Policy
 from dpcl.cli import EXIT_OK, RunSpec, exits, prepare, summary
 from dpcl.trainer import run_stream
@@ -48,10 +50,11 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     for name, result in (("noiseless", noiseless), ("private", private)):
         result.matrix.write_csv(out / f"{name}_accuracy_matrix.csv")
+    delta = np.format_float_scientific(private_cfg.delta, trim="-", exp_digits=1)  # as "1e-4"
     for policy in Policy:
-        report = private.ledger.report(1e-4, policy)
+        report = private.ledger.report(private_cfg.delta, policy)
         report.write_csv(out / f"private_budget_{policy.value}.csv")
-        print(f"private total epsilon ({policy.value}, delta=1e-4): {report.total:.3f}")
+        print(f"private total epsilon ({policy.value}, delta={delta}): {report.total:.3f}")
     print(f"artifacts written to {args.out}/")
     return EXIT_OK
 

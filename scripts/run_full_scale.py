@@ -10,6 +10,8 @@ run on CPU; use run_desk_scale.py for a quick end-to-end check.
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from dpcl.accountant import Policy
 from dpcl.cli import EXIT_OK, RunSpec, exits, prepare, summary
 from dpcl.trainer import run_stream
@@ -49,10 +51,11 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     result.matrix.write_csv(out / f"{args.mode}_accuracy_matrix.csv")
     if args.mode != "agem":
+        delta = np.format_float_scientific(cfg.delta, trim="-", exp_digits=1)  # as "1e-4"
         for policy in Policy:
-            report = result.ledger.report(1e-4, policy)
+            report = result.ledger.report(cfg.delta, policy)
             report.write_csv(out / f"{args.mode}_budget_{policy.value}.csv")
-            print(f"total epsilon ({policy.value}, delta=1e-4): {report.total:.3f}")
+            print(f"total epsilon ({policy.value}, delta={delta}): {report.total:.3f}")
     print(f"artifacts written to {args.out}/")
     return EXIT_OK
 

@@ -10,10 +10,10 @@ All randomness is drawn from addressed substreams keyed by
 config are bitwise identical and the single-block and all-blocks variants
 coincide exactly when only one memory block exists.
 
-A step writes its gradients, noise and update into three gradient-sized
-buffers that run_stream makes once per run and adds the update to net.params
-in place; called without out=, nn.grad, nn.clipped_mean_grad and
-project_gradient return new arrays.
+A step makes its update in one gradient-sized buffer that never moves, and
+its noise and reference gradient in the noise source's two; run_stream makes
+the three once per run and adds each update to net.params in place, and
+project_gradient works in place (without out=, nn's gradients are new arrays).
 
 What a step reads and draws is decided once, by _plan, in one _Step record
 per step: the training rows, the rows of each block read, and each release's
@@ -22,7 +22,7 @@ _ledger builds the whole charge table from the config and the block sizes,
 so no step charges anything. run_stream walks the records on this thread and
 makes each step from its record alone (_step), both of its releases through
 _release. One _NoiseSource per run queues each record's releases a record
-ahead of its step and draws their noise in order into the step buffers, each
+ahead of its step and draws their noise in order into its two buffers, each
 release once a buffer is free for it; at 2**16 parameters or more, a private
 run submits each draw to a one-worker pool, made after the net and shut down
 before run_stream returns or raises. The next step's draws then run while
@@ -36,7 +36,6 @@ draw raises its own error.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -52,8 +51,6 @@ from .data import TaskStream
 from .dp import NoiseConfig, draw_noise, rng as _rng
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
-
-log = logging.getLogger(__name__)
 
 # substream roles
 _ROLE_BATCH = 10
@@ -114,24 +111,17 @@ class TrainConfig:
         return self.epochs_per_task * math.ceil(1.0 / self.sampling_rate)
 
 
-def project_gradient(g, g_ref, rule: ProjectionRule, *, out=None) -> np.ndarray:
-    """Remove from g its component along g_ref (the constraint-satisfying
-    update direction); with ONLY_IF_CONFLICT, only when the gradients oppose.
-    A zero reference gradient leaves g unchanged. An unchanged g is returned
-    as is; a projection is written into out (a new array when None), which
-    must not share memory with g."""
-    g = np.asarray(g, dtype=np.float64)
-    g_ref = np.asarray(g_ref, dtype=np.float64)
-    denom = float(g_ref @ g_ref)
-    if denom == 0.0:
-        log.warning("degenerate reference gradient (zero norm); skipping projection")
-        return g
-    dot = float(g @ g_ref)
-    if rule is ProjectionRule.ONLY_IF_CONFLICT and dot >= 0.0:
-        return g
-    out = np.multiply(g_ref, -(dot / denom), out=out)  # bitwise g - (dot/denom) * g_ref
-    out += g
-    return out
+def project_gradient(g, g_ref, rule: ProjectionRule) -> None:
+    """Remove from g, in place, its component along g_ref (the
+    constraint-satisfying update direction); with ONLY_IF_CONFLICT, only when
+    the gradients oppose. A zero g_ref already satisfies the constraint, so g
+    stays unchanged. g and g_ref are float64 vectors that must not share
+    memory; a projection leaves g_ref as scratch, otherwise neither changes."""
+    denom, dot = float(g_ref @ g_ref), float(g @ g_ref)
+    if denom == 0.0 or (rule is ProjectionRule.ONLY_IF_CONFLICT and dot >= 0.0):
+        return
+    g_ref *= -(dot / denom)
+    g += g_ref  # bitwise g - (dot/denom) * g_ref
 
 
 class _Step(NamedTuple):
@@ -192,20 +182,19 @@ def _ledger(cfg: TrainConfig, sizes) -> PrivacyLedger:
 
 class _NoiseSource:
     """Draws the noise of the releases ahead queues (dp.draw_noise at each
-    one's address and std), in order, into the buffers after the first, which
-    the step holds (held); an agem source draws nothing and lends its buffers.
-    take hands out the next noise; give takes a buffer back. A release is
-    drawn once it has a free buffer: in a with block, a private net of
-    _DRAW_AHEAD_MIN_PARAMS or more parameters draws on a one-worker pool,
-    shut down when the block ends; otherwise the draw runs at once."""
+    one's address and std), in order, into its two buffers; an agem source
+    draws nothing and lends them. take hands out the next noise; give takes a
+    buffer back. A release is drawn once it has a free buffer: in a with
+    block, a private net of _DRAW_AHEAD_MIN_PARAMS or more parameters draws
+    on a one-worker pool, shut down when the block ends; otherwise the draw
+    runs at once."""
 
     def __init__(self, cfg: TrainConfig, buffers):
-        self.held, *free = buffers
-        self._queued, self._free, self._drawn = deque(), deque(free), deque()
+        self._queued, self._free, self._drawn = deque(), deque(buffers), deque()
         self._seed, self._pool = None if cfg.mode is Mode.AGEM else cfg.noise.seed, None
 
     def __enter__(self):
-        if self._seed is not None and self.held.size >= _DRAW_AHEAD_MIN_PARAMS:
+        if self._seed is not None and self._free[0].size >= _DRAW_AHEAD_MIN_PARAMS:
             self._pool = ThreadPoolExecutor(1)
         return self
 
@@ -250,47 +239,42 @@ def _release(net, picks, cfg: TrainConfig, noise, *, out):
     """One release: the rows idx of each (split, idx) pick, gathered into one
     x and y, give the plain mean gradient (agem) or the mean of the picks'
     clipped means plus noise.take's next noise, or zero without rows. Written
-    into out; returns it and the noise buffer, for the caller to give back."""
-    n, g = sum(len(idx) for _, idx in picks), out
+    into out; returns the noise buffer, for the caller to give back."""
+    n = sum(len(idx) for _, idx in picks)
     if n == 0:
-        g.fill(0.0)
+        out.fill(0.0)
     else:
         x, y, end = np.empty((n, picks[0][0].feature_dim)), np.empty(n, dtype=np.int64), 0
         for split, idx in picks:
             split.gather(idx, x[end:end + len(idx)], y[end:end + len(idx)])
             end += len(idx)
         if cfg.mode is Mode.AGEM:
-            g = nn.grad(net, x, y, out=out)
+            nn.grad(net, x, y, out=out)
         else:
             sizes = [len(idx) for _, idx in picks] if len(picks) > 1 else None
-            g = nn.clipped_mean_grad(net, x, y, cfg.noise.clip_bound, sizes, out=out)
+            nn.clipped_mean_grad(net, x, y, cfg.noise.clip_bound, sizes, out=out)
     z = noise.take()
     if cfg.mode is not Mode.AGEM:
-        g += z  # bitwise z + g
-    return g, z
+        out += z  # bitwise z + out
+    return z
 
 
-def _step(net, record: _Step, stream: TaskStream, cfg: TrainConfig, noise):
-    """The step of record, made from it alone: the training release reads its
-    train_rows, the update is projected against the reference release of its
-    ref_rows, if any, and added to net.params. noise's three buffers rotate:
-    the held one takes the training mean and noise, that noise's buffer the
-    reference mean and noise, whose buffer goes back, then the projection; of
-    the two, the one without the update goes back. No step reads an entry it
-    has not written."""
+def _step(net, record: _Step, stream: TaskStream, cfg: TrainConfig, noise, g):
+    """The step of record, made from it alone, in the update buffer g, which
+    never moves: the training release of its train_rows goes into g and the
+    reference release of its ref_rows, if any, into the training noise's
+    buffer z; the reference noise's buffer goes back, g is projected against
+    z in place, z goes back, and g is added to net.params. No step reads an
+    entry it has not written."""
     tasks = stream.tasks
-    g, spare = _release(net, [(tasks[record.task_id - 1][0], record.train_rows)], cfg, noise,
-                        out=noise.held)
+    z = _release(net, [(tasks[record.task_id - 1][0], record.train_rows)], cfg, noise, out=g)
     if record.block_ids:
         picks = [(tasks[i - 1][1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
-        g_ref, z = _release(net, picks, cfg, noise, out=spare)
-        noise.give(z)
-        update = project_gradient(g, g_ref, cfg.projection_rule, out=g_ref)
-        g, spare = update, (g if update is g_ref else g_ref)
-    noise.give(spare)
+        noise.give(_release(net, picks, cfg, noise, out=z))
+        project_gradient(g, z, cfg.projection_rule)
+    noise.give(z)
     g *= -cfg.learning_rate  # params += (-lr) * g is bitwise params - lr * g
     np.add(net.params, g, out=net.params)
-    noise.held = g
 
 
 @dataclass
@@ -321,13 +305,14 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     traces = []
     plan = _plan(cfg, [(t, len(train), sizes[:t - 1])
                        for t, (train, _, _, _) in enumerate(stream.tasks, start=1)])
-    # one set of step buffers for the whole run
-    with _NoiseSource(cfg, np.empty((3, net.num_params))) as noise:
+    # the update buffer, then the two noise buffers, for the whole run
+    buffers = np.empty((3, net.num_params))
+    with _NoiseSource(cfg, buffers[1:]) as noise:
         records = noise.ahead(plan)
         for t, (_, _, test_split, _) in enumerate(stream.tasks, start=1):
             trace = [nn.accuracy(net, test_split)]  # after b = 0 updates
             for record in itertools.islice(records, cfg.steps_per_task):
-                _step(net, record, stream, cfg, noise)
+                _step(net, record, stream, cfg, noise, buffers[0])
                 if record.step < cfg.lca_beta:
                     trace.append(nn.accuracy(net, test_split))
             traces.append(trace)

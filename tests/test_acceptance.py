@@ -72,7 +72,8 @@ def test_projection_orthogonality():
         for _ in range(1000):
             g = rng.standard_normal(dim)
             g_ref = rng.standard_normal(dim)
-            out = project_gradient(g, g_ref, ProjectionRule.ALWAYS_EQ2)
+            out = g.copy()
+            project_gradient(out, g_ref.copy(), ProjectionRule.ALWAYS_EQ2)
             assert abs(out @ g_ref) <= 1e-9 * np.linalg.norm(g) * np.linalg.norm(g_ref)
 
 

@@ -449,6 +449,19 @@ def test_numeric_failure_is_the_only_stderr_line(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--clip", "1e-320"], ["--mode", "dp_agem", "--clip", "1e-300"]],
+                         ids=["dp_cl", "dp_agem"])
+def test_zero_reference_gradients_leave_stderr_empty(tmp_path, flags):
+    """At a clip bound this small every released reference gradient is zero,
+    which already satisfies the constraint, so no step projects and none
+    writes to stderr."""
+    done = subprocess.run([sys.executable, "-m", "dpcl.cli", "run", *flags, "--tasks", "3",
+                           "--seed", "0", "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert done.returncode == EXIT_OK
+    assert done.stderr == ""
+
+
 IMPORT_CHECK = """
 import sys
 import dpcl, dpcl.cli

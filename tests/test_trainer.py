@@ -50,36 +50,56 @@ def agem_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def projected(g, g_ref, rule):
+    """The projection of a copy of g against a copy of g_ref."""
+    g, g_ref = np.array(g, dtype=np.float64), np.array(g_ref, dtype=np.float64)
+    project_gradient(g, g_ref, rule)
+    return g
+
+
 def test_projection_orthogonal_input_unchanged():
     g, g_ref = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     for rule in ProjectionRule:
-        assert np.array_equal(project_gradient(g, g_ref, rule), g)
+        assert np.array_equal(projected(g, g_ref, rule), g)
 
 
 def test_projection_parallel_case():
     g = np.array([1.0, 1.0])
-    assert np.allclose(project_gradient(g, g, ProjectionRule.ALWAYS_EQ2), 0.0, atol=1e-15)
-    assert np.array_equal(project_gradient(g, g, ProjectionRule.ONLY_IF_CONFLICT), g)
+    assert np.allclose(projected(g, g, ProjectionRule.ALWAYS_EQ2), 0.0, atol=1e-15)
+    assert np.array_equal(projected(g, g, ProjectionRule.ONLY_IF_CONFLICT), g)
 
 
 def test_projection_hand_value():
-    out = project_gradient(np.array([2.0, 0.0]), np.array([1.0, 1.0]),
-                           ProjectionRule.ALWAYS_EQ2)
+    out = projected([2.0, 0.0], [1.0, 1.0], ProjectionRule.ALWAYS_EQ2)
     assert np.allclose(out, [1.0, -1.0], atol=1e-12)
     assert out @ np.array([1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_zero_reference_returns_g():
     g = np.array([1.0, 2.0])
-    assert np.array_equal(project_gradient(g, np.zeros(2), ProjectionRule.ALWAYS_EQ2), g)
+    assert np.array_equal(projected(g, np.zeros(2), ProjectionRule.ALWAYS_EQ2), g)
 
 
 @pytest.mark.parametrize("rule", list(ProjectionRule))
-def test_projection_leaves_its_arguments_unchanged(rule):
+def test_projection_is_written_into_g(rule):
+    """A pair that conflicts is projected under both rules, into g itself:
+    bitwise g - (g.g_ref / g_ref.g_ref) g_ref."""
     g, g_ref = np.array([1.0, -2.0, 0.5]), np.array([-1.0, 1.0, 3.0])
+    expected = g - float(g @ g_ref) / float(g_ref @ g_ref) * g_ref
+    assert not np.array_equal(expected, g)
+    project_gradient(g, g_ref, rule)
+    assert np.array_equal(g, expected)
+
+
+@pytest.mark.parametrize("g_ref, rule", [
+    ([0.0, 0.0, 0.0], ProjectionRule.ALWAYS_EQ2),
+    ([0.0, 0.0, 0.0], ProjectionRule.ONLY_IF_CONFLICT),
+    ([1.0, 1.0, 3.0], ProjectionRule.ONLY_IF_CONFLICT),  # g.g_ref > 0: no conflict
+], ids=["zero_always", "zero_conflict", "agreeing_conflict"])
+def test_projection_left_out_changes_neither_argument(g_ref, rule):
+    g, g_ref = np.array([1.0, 2.0, 0.5]), np.array(g_ref)
     g_before, ref_before = g.copy(), g_ref.copy()
-    out = project_gradient(g, g_ref, rule)
-    assert not np.array_equal(out, g)  # the pair conflicts, so both rules project
+    project_gradient(g, g_ref, rule)
     assert np.array_equal(g, g_before) and np.array_equal(g_ref, ref_before)
 
 
@@ -88,22 +108,22 @@ def test_projection_leaves_its_arguments_unchanged(rule):
 def test_projection_orthogonality_property(seed, dim):
     rng = np.random.default_rng(seed)
     g, g_ref = rng.standard_normal(dim), rng.standard_normal(dim)
-    out = project_gradient(g, g_ref, ProjectionRule.ALWAYS_EQ2)
+    out = projected(g, g_ref, ProjectionRule.ALWAYS_EQ2)
     assert abs(out @ g_ref) <= 1e-9 * np.linalg.norm(g) * np.linalg.norm(g_ref)
-    conflict_out = project_gradient(g, g_ref, ProjectionRule.ONLY_IF_CONFLICT)
+    conflict_out = projected(g, g_ref, ProjectionRule.ONLY_IF_CONFLICT)
     assert conflict_out @ g_ref >= -1e-9 * np.linalg.norm(g) * np.linalg.norm(g_ref)
 
 
 def train_alone(net, stream, task_id, cfg, buffers=None):
     """The steps of task task_id of stream, with a noise source of their own
-    (over buffers, when given)."""
+    (over buffers, when given: the update buffer, then the two noise buffers)."""
     sizes = [len(ref) for _, ref, _, _ in stream.tasks[:task_id - 1]]
     plan = trainer._plan(cfg, [(task_id, len(stream.tasks[task_id - 1][0]), sizes)])
     if buffers is None:
         buffers = np.empty((3, net.num_params))
-    with trainer._NoiseSource(cfg, buffers) as noise:
+    with trainer._NoiseSource(cfg, buffers[1:]) as noise:
         for record in noise.ahead(plan):
-            trainer._step(net, record, stream, cfg, noise)
+            trainer._step(net, record, stream, cfg, noise, buffers[0])
     return net
 
 
@@ -180,7 +200,8 @@ def private_reference_params(stream, cfg, dims):
                     noise = replace(cfg.noise, sigma=cfg.noise.sigma / math.sqrt(len(sizes)))
                     g_ref = add_noise(nn.clipped_mean_grad(ref_net, x, y, beta, sizes),
                                          noise, address)
-                g = project_gradient(g, g_ref, cfg.projection_rule)
+                g, g_ref = g.copy(), g_ref.copy()
+                project_gradient(g, g_ref, cfg.projection_rule)
             params = params - cfg.learning_rate * g
             ref_net.params[...] = params
     return params
@@ -209,12 +230,14 @@ def record_draw_threads(monkeypatch, helper_delay=0.0):
 
 
 def captured_buffers(monkeypatch):
-    """The step buffers of every noise source made from here on, in order."""
+    """The step buffers of every noise source made from here on, in order:
+    the array its two noise buffers are rows of, whose first row is the update
+    buffer."""
     seen = []
     real = trainer._NoiseSource.__init__
 
     def recording(self, cfg, buffers):
-        seen.append(buffers)
+        seen.append(buffers.base)
         real(self, cfg, buffers)
 
     monkeypatch.setattr(trainer._NoiseSource, "__init__", recording)
@@ -468,7 +491,7 @@ def test_noise_taken_past_the_plan_raises(draw_ahead, monkeypatch):
         monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
     first = next(trainer._plan(cfg, [(1, 4, [])]))
-    with trainer._NoiseSource(cfg, np.zeros((3, 16))) as noise:
+    with trainer._NoiseSource(cfg, np.zeros((2, 16))) as noise:
         assert list(noise.ahead([first])) == [first]
         z = noise.take()
         assert np.array_equal(z, add_noise(np.zeros(16), cfg.noise, first.releases[0][0]))
@@ -486,7 +509,7 @@ def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
     plan = list(trainer._plan(cfg, [(1, 4, [])]))[:3]
 
     def take_one_and_leave():
-        with trainer._NoiseSource(cfg, np.zeros((3, 16))) as noise:
+        with trainer._NoiseSource(cfg, np.zeros((2, 16))) as noise:
             list(noise.ahead(plan))  # queues three releases
             noise.take()
 
@@ -554,9 +577,8 @@ def test_full_width_dp_agem_joint_release_draws_ahead_bitwise(monkeypatch):
 @pytest.mark.parametrize("gate", [0, 1 << 16])
 @pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
 def test_only_if_conflict_matches_reference_loop_bitwise(mode, gate, monkeypatch):
-    """Under ONLY_IF_CONFLICT some steps keep g unchanged, so the step gives
-    back its reference buffer instead of its training one; both happen here,
-    drawing ahead (gate 0) and inline."""
+    """Under ONLY_IF_CONFLICT some steps keep g unchanged and others project
+    it; both happen here, drawing ahead (gate 0) and inline."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
     stream = small_stream(3)
     cfg = private_cfg(mode, projection_rule=ProjectionRule.ONLY_IF_CONFLICT)
@@ -564,15 +586,43 @@ def test_only_if_conflict_matches_reference_loop_bitwise(mode, gate, monkeypatch
     kept = []
     real = trainer.project_gradient
 
-    def recorded(g, g_ref, rule, *, out=None):
-        update = real(g, g_ref, rule, out=out)
-        kept.append(update is g)
-        return update
+    def recorded(g, g_ref, rule):
+        before = g.copy()
+        real(g, g_ref, rule)
+        kept.append(np.array_equal(g, before))
 
     monkeypatch.setattr(trainer, "project_gradient", recorded)
     assert np.array_equal(train_package(stream, cfg),
                           private_reference_params(stream, cfg, dims))
     assert True in kept and False in kept
+
+
+@pytest.mark.parametrize("gate", [0, 1 << 16])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_no_buffer_given_back_shares_memory_with_the_update(mode, gate, monkeypatch):
+    """Every step of a run makes its update in the same buffer, and no buffer
+    a step gives back to the noise source shares memory with it, also on the
+    steps whose projection fires; drawing ahead (gate 0) and inline."""
+    monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
+    updates, given = [], []
+    real_step, real_give = trainer._step, trainer._NoiseSource.give
+
+    def recorded_step(net, record, stream, cfg, noise, g):
+        updates.append(g)
+        real_step(net, record, stream, cfg, noise, g)
+
+    def recorded_give(self, z):
+        given.append(z)
+        real_give(self, z)
+
+    monkeypatch.setattr(trainer, "_step", recorded_step)
+    monkeypatch.setattr(trainer._NoiseSource, "give", recorded_give)
+    cfg = agem_cfg(epochs_per_task=2) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=2)
+    run_stream(small_stream(3), cfg)
+    assert len(updates) == 3 * cfg.steps_per_task
+    assert all(g.ctypes.data == updates[0].ctypes.data for g in updates)
+    assert len(given) == (1 + 2 + 2) * cfg.steps_per_task  # task 1 reads no memory
+    assert not any(np.shares_memory(z, updates[0]) for z in given)
 
 
 def test_first_task_never_touches_memory():
@@ -856,11 +906,12 @@ def released_ref_grad(net, blocks, task_id, step, cfg):
     gradient and the record."""
     plan = [r for r in trainer._plan(cfg, [(task_id, 0, [len(b) for b in blocks])])
             if r.step == step]
-    with trainer._NoiseSource(cfg, np.empty((3, net.num_params))) as noise:
+    g = np.empty(net.num_params)
+    with trainer._NoiseSource(cfg, np.empty((2, net.num_params))) as noise:
         (record,) = noise.ahead(plan)
         noise.give(noise.take())
         picks = [(blocks[i - 1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
-        g, _ = _release(net, picks, cfg, noise, out=np.empty(net.num_params))
+        _release(net, picks, cfg, noise, out=g)
         return g, record
 
 
@@ -965,10 +1016,10 @@ def test_clipped_gradients_respect_bound_pre_noise():
     d = stream.tasks[0][0].feature_dim
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
     train = stream.tasks[0][0]
-    with trainer._NoiseSource(cfg, np.empty((3, net.num_params))) as noise:
+    g = np.empty(net.num_params)
+    with trainer._NoiseSource(cfg, np.empty((2, net.num_params))) as noise:
         list(noise.ahead(trainer._plan(cfg, [(1, len(train), [])])))
-        g, _ = _release(net, [(train, np.arange(len(train)))], cfg, noise,
-                        out=np.empty(net.num_params))
+        _release(net, [(train, np.arange(len(train)))], cfg, noise, out=g)
     assert np.linalg.norm(g) <= 0.05 + 1e-12
 
 
