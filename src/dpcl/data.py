@@ -53,15 +53,15 @@ class Dataset:
 
 
 class TaskSplit:
-    """The rows `rows` of src (all of them when None), their features in the
-    order perm. gather, the one way to read it, writes the rows asked for
-    into the caller's arrays; nothing is cached."""
+    """The rows `rows` of src, an index array, their features in the order
+    perm. gather, the one way to read it, writes the rows asked for into the
+    caller's arrays; nothing is cached."""
 
     def __init__(self, src: Dataset, rows, perm):
         self.src, self.rows, self.perm = src, rows, perm
 
     def __len__(self):
-        return len(self.src) if self.rows is None else len(self.rows)
+        return len(self.rows)
 
     @property
     def num_classes(self):
@@ -73,7 +73,7 @@ class TaskSplit:
 
     def gather(self, idx, x_out, y_out):
         """Write the rows idx of the split into x_out and their labels into y_out."""
-        rows = idx if self.rows is None else self.rows[idx]
+        rows = self.rows[idx]
         # perm is a permutation, so "clip" never clips; it lets take write
         # straight into x_out, where "raise" fills a temporary copy first.
         np.take(self.src.x[rows], self.perm, axis=1, out=x_out, mode="clip")
@@ -82,9 +82,10 @@ class TaskSplit:
 
 @dataclass
 class TaskStream:
-    """A sequence of tasks, each with disjoint train/ref splits and a test split."""
+    """A sequence of tasks, each a (train, ref, test) triple of TaskSplits
+    under the task's permutation (each split's perm); train and ref are disjoint."""
 
-    tasks: list = field(default_factory=list)  # (train, ref, test, permutation)
+    tasks: list = field(default_factory=list)  # (train, ref, test)
 
     @property
     def num_tasks(self):
@@ -115,6 +116,8 @@ def load_idx_archive(images_path, labels_path) -> Dataset:
     n = _read_be_u32(img_buf, 4, images_path)
     rows = _read_be_u32(img_buf, 8, images_path)
     cols = _read_be_u32(img_buf, 12, images_path)
+    if rows * cols == 0:
+        raise ParseError(f"{images_path}: images of {rows} x {cols} pixels (offsets 8 and 12)")
     expected = 16 + n * rows * cols
     if len(img_buf) != expected:
         raise ParseError(
@@ -198,8 +201,8 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
         n_test = int(round(test_fraction * len(base)))
         test, test_rows, pool = base, split[:n_test], split[n_test:]
     else:
-        test_rows, pool = None, rng.permutation(len(base))
-    if len(test if test_rows is None else test_rows) == 0:
+        test_rows, pool = np.arange(len(test)), rng.permutation(len(base))
+    if len(test_rows) == 0:
         raise ConfigError("the test split is empty")
     if test.feature_dim != d:
         raise ConfigError(f"test examples have {test.feature_dim} features, "
@@ -218,6 +221,5 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
         order = rng.permutation(len(pool))
         tasks.append((TaskSplit(base, pool[order[n_ref:]], perm),
                       TaskSplit(base, pool[order[:n_ref]], perm),
-                      TaskSplit(test, test_rows, perm),
-                      perm))
+                      TaskSplit(test, test_rows, perm)))
     return TaskStream(tasks)

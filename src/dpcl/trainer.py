@@ -21,11 +21,11 @@ noise address and std. What the run charges is known before its first step:
 _ledger builds the whole charge table from the config and the block sizes,
 so no step charges anything. run_stream walks the records on this thread and
 makes each step from its record alone (_step), both of its releases through
-_release. One _NoiseSource per run queues each record's releases a record
-ahead of its step and draws their noise in order into its two buffers, each
-release once a buffer is free for it; at 2**16 parameters or more, a private
-run submits each draw to a one-worker pool, made after the net and shut down
-before run_stream returns or raises. The next step's draws then run while
+_release. One _NoiseSource per run draws the records' releases in order
+into its two buffers, pulling the next release once a buffer is free, so the
+plan runs at most a record ahead of the step; at 2**16 parameters or more, a
+private run submits each draw to a one-worker pool, made after the net and
+shut down before run_stream returns or raises. The next step's draws run while
 this thread projects, updates, evaluates and computes the clipped means, and
 numpy draws without holding the interpreter lock, so on a second core.
 Smaller nets draw on this thread, because there the handoff costs more than
@@ -181,21 +181,22 @@ def _ledger(cfg: TrainConfig, sizes) -> PrivacyLedger:
 
 
 class _NoiseSource:
-    """Draws the noise of the releases ahead queues (dp.draw_noise at each
-    one's address and std), in order, into its two buffers; an agem source
-    draws nothing and lends them. take hands out the next noise; give takes a
-    buffer back. A release is drawn once it has a free buffer: in a with
-    block, a private net of _DRAW_AHEAD_MIN_PARAMS or more parameters draws
-    on a one-worker pool, shut down when the block ends; otherwise the draw
-    runs at once."""
+    """Draws the noise of releases, an iterator of (address, std) pairs, in
+    order (dp.draw_noise at each), into its two buffers; an agem source draws
+    nothing and lends them. take hands out the next noise; give takes a
+    buffer back. The next release is pulled and drawn once a buffer is free:
+    in a with block, a private net of _DRAW_AHEAD_MIN_PARAMS or more
+    parameters draws on a one-worker pool, shut down when the block ends;
+    otherwise the draw runs at once."""
 
-    def __init__(self, cfg: TrainConfig, buffers):
-        self._queued, self._free, self._drawn = deque(), deque(buffers), deque()
+    def __init__(self, cfg: TrainConfig, releases, buffers):
+        self._releases, self._free, self._drawn = releases, deque(buffers), deque()
         self._seed, self._pool = None if cfg.mode is Mode.AGEM else cfg.noise.seed, None
 
     def __enter__(self):
         if self._seed is not None and self._free[0].size >= _DRAW_AHEAD_MIN_PARAMS:
             self._pool = ThreadPoolExecutor(1)
+        self._start()
         return self
 
     def __exit__(self, *exc):
@@ -203,27 +204,17 @@ class _NoiseSource:
             self._pool.shutdown(cancel_futures=True)  # waits for the draw under way
 
     def _start(self):
-        """Pairs each queued release, in order, with a free buffer and draws its noise."""
-        while self._queued and self._free:
-            release, z = self._queued.popleft(), self._free.popleft()
+        """Pairs each free buffer, in order, with the next release and draws its noise."""
+        while self._free and (release := next(self._releases, None)) is not None:
+            z = self._free.popleft()
             if self._pool is not None:
                 z = self._pool.submit(draw_noise, self._seed, *release, z)
             elif self._seed is not None:
                 z = draw_noise(self._seed, *release, z)
             self._drawn.append(z)
 
-    def ahead(self, plan):
-        """plan's records in order, each handed out once the next one's
-        releases are queued, so that their noise is drawn a record ahead."""
-        for record, upcoming in itertools.pairwise(itertools.chain([None], plan, [None])):
-            if upcoming is not None:
-                self._queued.extend(upcoming.releases)
-                self._start()
-            if record is not None:
-                yield record
-
     def take(self):
-        """The next queued release's noise, in a buffer the caller gives back;
+        """The next release's noise, in a buffer the caller gives back;
         a draw that failed on the pool raises its error here."""
         if not self._drawn:
             raise RuntimeError("no queued release is left to take")
@@ -292,11 +283,11 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     Each (net, test split) pair is evaluated once."""
     if stream.num_tasks == 0:
         raise ConfigError("empty task stream")
-    if any(len(ref) == 0 for _, ref, _, _ in stream.tasks):
+    if any(len(ref) == 0 for _, ref, _ in stream.tasks):
         raise ConfigError("every task needs a non-empty reference split")
     if cfg.mode is not Mode.AGEM and cfg.noise.sigma == 0:
         raise ConfigError(f"mode {cfg.mode.value} releases gradients, so it needs sigma > 0")
-    sizes = [len(ref) for _, ref, _, _ in stream.tasks]
+    sizes = [len(ref) for _, ref, _ in stream.tasks]
     ledger = _ledger(cfg, sizes)
     first = stream.tasks[0][0]
     net = nn.DenseNet.create([first.feature_dim, *cfg.hidden_dims, first.num_classes], cfg.seed)
@@ -304,12 +295,12 @@ def run_stream(stream: TaskStream, cfg: TrainConfig) -> RunResult:
     matrix = AccuracyMatrix(stream.num_tasks)
     traces = []
     plan = _plan(cfg, [(t, len(train), sizes[:t - 1])
-                       for t, (train, _, _, _) in enumerate(stream.tasks, start=1)])
+                       for t, (train, _, _) in enumerate(stream.tasks, start=1)])
+    records, ahead = itertools.tee(plan)
     # the update buffer, then the two noise buffers, for the whole run
     buffers = np.empty((3, net.num_params))
-    with _NoiseSource(cfg, buffers[1:]) as noise:
-        records = noise.ahead(plan)
-        for t, (_, _, test_split, _) in enumerate(stream.tasks, start=1):
+    with _NoiseSource(cfg, (r for record in ahead for r in record.releases), buffers[1:]) as noise:
+        for t, (_, _, test_split) in enumerate(stream.tasks, start=1):
             trace = [nn.accuracy(net, test_split)]  # after b = 0 updates
             for record in itertools.islice(records, cfg.steps_per_task):
                 _step(net, record, stream, cfg, noise, buffers[0])

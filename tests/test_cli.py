@@ -117,6 +117,20 @@ def test_run_invalid_config_exit_code(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_run_on_zero_pixel_images_exits_config_before_training(tmp_path, capsys):
+    """An archive of 300 images of 0 x 0 pixels is refused when it is
+    parsed: exit 2, one error: line, and no --out directory."""
+    write_idx_archive(tmp_path / "img", tmp_path / "lbl",
+                      np.zeros((300, 0, 0)), np.arange(300) % 10)
+    out = tmp_path / "run"
+    code = main(["run", "--images", str(tmp_path / "img"), "--labels", str(tmp_path / "lbl"),
+                 "--tasks", "2", "--seed", "0", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "offsets 8 and 12" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_run_nonfinite_feature_exits_numeric(tmp_path, capsys, monkeypatch, bad):

@@ -78,19 +78,29 @@ def test_loader_zero_image_archive(tmp_path):
     assert len(ds) == 0
 
 
+@pytest.mark.parametrize("shape", [(300, 0, 0), (3, 0, 2), (3, 2, 0)])
+def test_loader_rejects_zero_pixel_images(tmp_path, shape):
+    """An image of rows x cols = 0 pixels gives a net no inputs, so the
+    parser refuses it, naming the header offsets of rows and cols."""
+    write_idx_archive(tmp_path / "img", tmp_path / "lbl",
+                      np.zeros(shape, dtype=np.uint8), np.arange(shape[0]) % 3)
+    with pytest.raises(ParseError, match="offsets 8 and 12"):
+        load_idx_archive(tmp_path / "img", tmp_path / "lbl")
+
+
 def test_stream_single_task_identity_permutation():
     base = make_synthetic(6, 3, 10, 0.6, seed=1)
     stream = make_permuted_stream(base, 1, seed=1, ref_fraction=0.2)
     assert stream.num_tasks == 1
-    assert np.array_equal(stream.tasks[0][3], np.arange(6))
+    assert np.array_equal(stream.tasks[0][0].perm, np.arange(6))
 
 
 def test_permutation_round_trip():
     base = make_synthetic(6, 3, 10, 0.6, seed=2)
     stream = make_permuted_stream(base, 3, seed=2, ref_fraction=0.2)
-    _, _, test, perm = stream.tasks[2]
+    _, _, test = stream.tasks[2]
     identity_test = stream.tasks[0][2]
-    assert np.array_equal(gathered(test).x[:, np.argsort(perm)], gathered(identity_test).x)
+    assert np.array_equal(gathered(test).x[:, np.argsort(test.perm)], gathered(identity_test).x)
 
 
 @given(seed=st.integers(0, 1000))
@@ -98,21 +108,21 @@ def test_permutation_round_trip():
 def test_permutation_bijective(seed):
     base = make_synthetic(16, 3, 4, 0.6, seed=0)
     stream = make_permuted_stream(base, 3, seed=seed, ref_fraction=0.2)
-    for _, _, _, perm in stream.tasks:
-        assert sorted(perm.tolist()) == list(range(16))
+    for train, _, _ in stream.tasks:
+        assert sorted(train.perm.tolist()) == list(range(16))
 
 
 def test_different_seeds_different_permutations():
     base = make_synthetic(16, 3, 4, 0.6, seed=0)
     a = make_permuted_stream(base, 2, seed=1, ref_fraction=0.2)
     b = make_permuted_stream(base, 2, seed=2, ref_fraction=0.2)
-    assert not np.array_equal(a.tasks[1][3], b.tasks[1][3])
+    assert not np.array_equal(a.tasks[1][0].perm, b.tasks[1][0].perm)
 
 
 def test_train_ref_disjoint():
     base = make_synthetic(6, 3, 20, 0.6, seed=3)
     stream = make_permuted_stream(base, 2, seed=3, ref_fraction=0.25)
-    for train, ref, _, _ in stream.tasks:
+    for train, ref, _ in stream.tasks:
         train_rows = {tuple(row) for row in gathered(train).x}
         ref_rows = {tuple(row) for row in gathered(ref).x}
         assert not train_rows & ref_rows
@@ -197,10 +207,12 @@ def view_streams():
 @pytest.mark.parametrize("case", [0, 1], ids=["carved_test", "given_test"])
 def test_split_gathers_are_c_ordered_permuted_rows(case):
     base, given, stream = view_streams()[case]
-    for train, ref, test, perm in stream.tasks:
+    for train, ref, test in stream.tasks:
+        perm = train.perm
         for split in (train, ref, test):
-            rows = np.arange(len(split.src)) if split.rows is None else split.rows
-            assert split.feature_dim == len(perm) and len(split) == len(rows)
+            rows = split.rows
+            assert split.perm is perm and split.feature_dim == len(perm)
+            assert len(split) == len(rows)
             idx = np.array([len(split) - 1, 0, 1, 0])
             x_out, y_out = np.full((len(idx), len(perm)), np.nan), np.zeros(len(idx), int)
             split.gather(idx, x_out, y_out)
@@ -214,9 +226,18 @@ def test_split_gathers_are_c_ordered_permuted_rows(case):
 @pytest.mark.parametrize("case", [0, 1], ids=["carved_test", "given_test"])
 def test_splits_share_the_callers_arrays(case):
     base, given, stream = view_streams()[case]
-    for train, ref, test, _ in stream.tasks:
+    for train, ref, test in stream.tasks:
         assert np.shares_memory(train.src.x, base.x) and np.shares_memory(ref.src.x, base.x)
         assert np.shares_memory(test.src.x, given.x)
+
+
+def test_given_test_splits_share_one_row_array():
+    """A given test set is read through np.arange(len(test)), made once and
+    shared by every task's test split."""
+    _, given, stream = view_streams()[1]
+    rows = stream.tasks[0][2].rows
+    assert np.array_equal(rows, np.arange(len(given)))
+    assert all(test.rows is rows for _, _, test in stream.tasks)
 
 
 def test_seventeen_task_stream_copies_no_examples():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import sys
 import threading
@@ -114,15 +115,21 @@ def test_projection_orthogonality_property(seed, dim):
     assert conflict_out @ g_ref >= -1e-9 * np.linalg.norm(g) * np.linalg.norm(g_ref)
 
 
+def releases_of(records):
+    """The (address, std) pairs of records' releases, in order, pulled lazily."""
+    return (release for record in records for release in record.releases)
+
+
 def train_alone(net, stream, task_id, cfg, buffers=None):
     """The steps of task task_id of stream, with a noise source of their own
     (over buffers, when given: the update buffer, then the two noise buffers)."""
-    sizes = [len(ref) for _, ref, _, _ in stream.tasks[:task_id - 1]]
+    sizes = [len(ref) for _, ref, _ in stream.tasks[:task_id - 1]]
     plan = trainer._plan(cfg, [(task_id, len(stream.tasks[task_id - 1][0]), sizes)])
     if buffers is None:
         buffers = np.empty((3, net.num_params))
-    with trainer._NoiseSource(cfg, buffers[1:]) as noise:
-        for record in noise.ahead(plan):
+    records, ahead = itertools.tee(plan)
+    with trainer._NoiseSource(cfg, releases_of(ahead), buffers[1:]) as noise:
+        for record in records:
             trainer._step(net, record, stream, cfg, noise, buffers[0])
     return net
 
@@ -144,7 +151,7 @@ def agem_reference_params(stream, cfg, dims):
     ref_net = nn.DenseNet.create(dims, seed=cfg.seed)
     params = ref_net.params.copy()
     blocks = []
-    for t, (train_split, ref_split, _, _) in enumerate(stream.tasks, start=1):
+    for t, (train_split, ref_split, _) in enumerate(stream.tasks, start=1):
         for step in range(cfg.steps_per_task):
             mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
             if mask.any():
@@ -172,8 +179,8 @@ def private_reference_params(stream, cfg, dims):
     beta = cfg.noise.clip_bound
     ref_net = nn.DenseNet.create(dims, seed=cfg.seed)
     params = ref_net.params.copy()
-    for t, (train_split, _, _, _) in enumerate(stream.tasks, start=1):
-        blocks = [ref for _, ref, _, _ in stream.tasks[:t - 1]]
+    for t, (train_split, _, _) in enumerate(stream.tasks, start=1):
+        blocks = [ref for _, ref, _ in stream.tasks[:t - 1]]
         for step in range(cfg.steps_per_task):
             mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
             if mask.any():
@@ -236,9 +243,9 @@ def captured_buffers(monkeypatch):
     seen = []
     real = trainer._NoiseSource.__init__
 
-    def recording(self, cfg, buffers):
+    def recording(self, cfg, releases, buffers):
         seen.append(buffers.base)
-        real(self, cfg, buffers)
+        real(self, cfg, releases, buffers)
 
     monkeypatch.setattr(trainer._NoiseSource, "__init__", recording)
     return seen
@@ -321,8 +328,8 @@ def test_drawing_ahead_stays_bitwise_under_thread_stress(monkeypatch):
 def test_empty_batch_steps_match_reference_loop_bitwise(mode, draw_ahead, monkeypatch):
     """Two training examples at p = 0.25 leave most steps without a batch."""
     stream = small_stream(2)
-    stream = TaskStream([(gathered(train, [0, 1]), ref, test, perm)
-                         for train, ref, test, perm in stream.tasks])
+    stream = TaskStream([(gathered(train, [0, 1]), ref, test)
+                         for train, ref, test in stream.tasks])
     cfg = agem_cfg() if mode is Mode.AGEM else private_cfg(mode)
     empty_steps = sum(not (_rng(cfg.seed, _ROLE_BATCH, t, step).random(2) < 0.25).any()
                       for t in (1, 2) for step in range(cfg.steps_per_task))
@@ -416,11 +423,11 @@ def test_no_draw_outlives_train_task(nan_feature, monkeypatch):
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
     stream = small_stream(2)
-    train, ref, test, perm = stream.tasks[1]
+    train, ref, test = stream.tasks[1]
     if nan_feature:
         train = gathered(train)
         train.x[:, 0] = np.nan
-        stream = TaskStream([stream.tasks[0], (train, ref, test, perm)])
+        stream = TaskStream([stream.tasks[0], (train, ref, test)])
     cfg = private_cfg(Mode.DP_CL, epochs_per_task=1)
     net = nn.DenseNet.create([train.feature_dim, 8, 3], seed=1)
     seen = captured_buffers(monkeypatch)
@@ -446,10 +453,10 @@ def test_no_draw_outlives_a_run_that_raises_in_task_two(monkeypatch):
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     on_main = record_draw_threads(monkeypatch, helper_delay=0.02)
     stream = small_stream(3)
-    train, ref, test, perm = stream.tasks[1]
+    train, ref, test = stream.tasks[1]
     train = gathered(train)
     train.x[:, 0] = np.nan
-    stream = TaskStream([stream.tasks[0], (train, ref, test, perm), stream.tasks[2]])
+    stream = TaskStream([stream.tasks[0], (train, ref, test), stream.tasks[2]])
     seen = captured_buffers(monkeypatch)
     threads = threading.active_count()
     with pytest.raises(NumericError):
@@ -491,8 +498,7 @@ def test_noise_taken_past_the_plan_raises(draw_ahead, monkeypatch):
         monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
     first = next(trainer._plan(cfg, [(1, 4, [])]))
-    with trainer._NoiseSource(cfg, np.zeros((2, 16))) as noise:
-        assert list(noise.ahead([first])) == [first]
+    with trainer._NoiseSource(cfg, releases_of([first]), np.zeros((2, 16))) as noise:
         z = noise.take()
         assert np.array_equal(z, add_noise(np.zeros(16), cfg.noise, first.releases[0][0]))
         noise.give(z)
@@ -501,17 +507,16 @@ def test_noise_taken_past_the_plan_raises(draw_ahead, monkeypatch):
 
 
 def test_leaving_the_block_stops_a_helper_waiting_for_a_buffer(monkeypatch):
-    """The with block is left with releases still queued and no free buffer
-    for them, one drawn buffer never given back; leaving it returns within
-    10 s. The block runs on a thread of its own, so a hang fails the test."""
+    """The with block is left with a release still to draw and no free
+    buffer for it, one drawn buffer never given back; leaving it returns
+    within 10 s. The block runs on a thread of its own, so a hang fails the test."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
     cfg = private_cfg(Mode.DP_CL)
     plan = list(trainer._plan(cfg, [(1, 4, [])]))[:3]
 
     def take_one_and_leave():
-        with trainer._NoiseSource(cfg, np.zeros((2, 16))) as noise:
-            list(noise.ahead(plan))  # queues three releases
-            noise.take()
+        with trainer._NoiseSource(cfg, releases_of(plan), np.zeros((2, 16))) as noise:
+            noise.take()  # its buffer never goes back, so the third release waits
 
     block = threading.Thread(target=take_one_and_leave, daemon=True)
     block.start()
@@ -729,7 +734,7 @@ def test_lemma1_charges_block_one_what_each_later_task_paid_to_read_it():
     stream = small_stream(3)
     cfg = private_cfg(Mode.DP_AGEM)
     result = run_stream(stream, cfg)
-    sizes = [len(ref) for _, ref, _, _ in stream.tasks]
+    sizes = [len(ref) for _, ref, _ in stream.tasks]
     plan = trainer._plan(cfg, [(t, len(stream.tasks[t - 1][0]), sizes[:t - 1]) for t in (1, 2, 3)])
     reads = {2: Counter(), 3: Counter()}  # reading task -> {q: steps} of its reads of block 1
     for record in plan:
@@ -752,13 +757,15 @@ def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
     choice and the reference rows are drawn on the main thread, by the plan;
     the helper thread builds the noise streams' generators and no other.
     With the gate raised, the same noise is drawn inline. Either way the
-    source draws exactly the records' (address, std) pairs, in order."""
+    source draws exactly the records' (address, std) pairs, in order, and
+    the plan has yielded at most i + 2 records when step i (0-based) starts."""
     base = make_synthetic(784, 10, 10, 0.6, seed=1)
     stream = make_permuted_stream(base, 3, seed=1, ref_fraction=0.2)
     cfg = private_cfg(mode, hidden_dims=(256, 256), epochs_per_task=1, ref_batch_size=8)
     built, records, drawn = [], [], []  # built: (role, on the main thread)
+    pulled = []  # the records the plan had yielded when each step started
     real_rng, real_noise_rng = trainer._rng, dp.rng
-    real_plan, real_draw = trainer._plan, trainer.draw_noise
+    real_plan, real_draw, real_step = trainer._plan, trainer.draw_noise, trainer._step
 
     def recorded_rng(seed, *key):
         built.append((key[0], threading.current_thread() is threading.main_thread()))
@@ -778,15 +785,20 @@ def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
         drawn.append((address, std))
         return real_draw(seed, address, std, out)
 
+    def recorded_step(net, record, *args):
+        pulled.append(len(records))
+        real_step(net, record, *args)
+
     monkeypatch.setattr(trainer, "_rng", recorded_rng)
     monkeypatch.setattr(dp, "rng", recorded_noise_rng)
     monkeypatch.setattr(trainer, "_plan", recorded_plan)
     monkeypatch.setattr(trainer, "draw_noise", recorded_draw)
+    monkeypatch.setattr(trainer, "_step", recorded_step)
     releases = 3 * 4 + 2 * 4  # a training release per step, a reference one from task 2
     for draw_ahead in (True, False):
         if not draw_ahead:
             monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 1 << 30)
-        for seen in (built, records, drawn):
+        for seen in (built, records, drawn, pulled):
             seen.clear()
         run_stream(stream, cfg)
         roles = {role for role, _ in built}
@@ -795,6 +807,7 @@ def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
         assert all(on_main for role, on_main in built if role != 201)
         assert [on_main for role, on_main in built if role == 201] == [not draw_ahead] * releases
         assert drawn == [release for record in records for release in record.releases]
+        assert len(pulled) == 3 * 4 and all(n <= i + 2 for i, n in enumerate(pulled))
 
 
 @pytest.mark.parametrize("gate", [0, 1 << 16])
@@ -873,7 +886,7 @@ def test_ledger_and_gathers_are_the_plan_records(mode, gate, monkeypatch):
     for read, names in zip(releases, planned):
         assert [split for split, _ in read] == [split for split, _ in names]
         assert all(np.array_equal(idx, rows) for (_, idx), (_, rows) in zip(read, names))
-    assert result.ledger == trainer._ledger(cfg, [len(ref) for _, ref, _, _ in stream.tasks])
+    assert result.ledger == trainer._ledger(cfg, [len(ref) for _, ref, _ in stream.tasks])
 
 
 def test_dp_cl_and_dp_agem_coincide_with_single_block():
@@ -907,8 +920,8 @@ def released_ref_grad(net, blocks, task_id, step, cfg):
     plan = [r for r in trainer._plan(cfg, [(task_id, 0, [len(b) for b in blocks])])
             if r.step == step]
     g = np.empty(net.num_params)
-    with trainer._NoiseSource(cfg, np.empty((2, net.num_params))) as noise:
-        (record,) = noise.ahead(plan)
+    (record,) = plan
+    with trainer._NoiseSource(cfg, releases_of(plan), np.empty((2, net.num_params))) as noise:
         noise.give(noise.take())
         picks = [(blocks[i - 1], rows) for i, rows in zip(record.block_ids, record.ref_rows)]
         _release(net, picks, cfg, noise, out=g)
@@ -918,7 +931,7 @@ def released_ref_grad(net, blocks, task_id, step, cfg):
 @pytest.mark.parametrize("n_blocks", [1, 2, 4])
 def test_dp_agem_ref_step_is_one_backward_and_one_draw(n_blocks, monkeypatch):
     stream = small_stream(5)
-    blocks = [ref for _, ref, _, _ in stream.tasks[:n_blocks]]
+    blocks = [ref for _, ref, _ in stream.tasks[:n_blocks]]
     cfg = TrainConfig(mode=Mode.DP_AGEM, hidden_dims=(8,), ref_batch_size=4, seed=2)
     net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
     backward_rows, addresses = [], []
@@ -946,7 +959,7 @@ def test_dp_agem_ref_step_is_one_backward_and_one_draw(n_blocks, monkeypatch):
 
 def three_unequal_blocks():
     stream = small_stream(3, per_class=40, seed=4)
-    return [gathered(ref, np.arange(n)) for (_, ref, _, _), n in zip(stream.tasks, (7, 11, 15))]
+    return [gathered(ref, np.arange(n)) for (_, ref, _), n in zip(stream.tasks, (7, 11, 15))]
 
 
 def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
@@ -1017,8 +1030,8 @@ def test_clipped_gradients_respect_bound_pre_noise():
     net = nn.DenseNet.create([d, 8, 3], seed=cfg.seed)
     train = stream.tasks[0][0]
     g = np.empty(net.num_params)
-    with trainer._NoiseSource(cfg, np.empty((2, net.num_params))) as noise:
-        list(noise.ahead(trainer._plan(cfg, [(1, len(train), [])])))
+    plan = trainer._plan(cfg, [(1, len(train), [])])
+    with trainer._NoiseSource(cfg, releases_of(plan), np.empty((2, net.num_params))) as noise:
         _release(net, [(train, np.arange(len(train)))], cfg, noise, out=g)
     assert np.linalg.norm(g) <= 0.05 + 1e-12
 
@@ -1046,8 +1059,8 @@ def test_ref_grad_sensitivity_is_two_beta_over_k(mode, seed):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_empty_reference_split_rejected_before_training(mode, monkeypatch):
     stream = small_stream(2)
-    train, ref, test, perm = stream.tasks[1]
-    stream = TaskStream([stream.tasks[0], (train, gathered(ref, []), test, perm)])
+    train, ref, test = stream.tasks[1]
+    stream = TaskStream([stream.tasks[0], (train, gathered(ref, []), test)])
     monkeypatch.setattr(nn.DenseNet, "create", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(ConfigError, match="reference split"):
         run_stream(stream, agem_cfg(mode=mode, noise=NoiseConfig(sigma=1.0)))
@@ -1070,8 +1083,7 @@ def test_curve_averages_the_per_task_traces():
 
 def materialized(stream):
     """The stream with every split copied into a plain Dataset."""
-    return TaskStream([tuple(gathered(s) for s in splits) + (perm,)
-                       for *splits, perm in stream.tasks])
+    return TaskStream([tuple(gathered(s) for s in splits) for splits in stream.tasks])
 
 
 @pytest.mark.parametrize("mode", list(Mode))
