@@ -193,7 +193,8 @@ def make_permuted_stream(base: Dataset, n_tasks, seed, ref_fraction=0.1,
         raise ConfigError("n_tasks must be >= 1")
     if not 0.0 < ref_fraction < 1.0:
         raise ConfigError("ref_fraction must be in (0, 1)")
-    d = base.feature_dim
+    if (d := base.feature_dim) < 1:
+        raise ConfigError(f"the examples have {d} features; the feature dimension must be >= 1")
     rng = dp.rng(seed, 902)
 
     if test is None:

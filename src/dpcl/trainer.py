@@ -5,10 +5,10 @@ gradient reads each step (dp_agem reads them all, in one backward pass and
 one noise draw) and in whether gradients are clipped and noised. The stored
 blocks at task t are the reference splits of tasks 1..t-1.
 
-All randomness is drawn from addressed substreams keyed by
-(role, task, step[, block ids]) under the run seed, so two runs with the same
-config are bitwise identical and the single-block and all-blocks variants
-coincide exactly when only one memory block exists.
+All randomness is drawn from substreams of the run seed: the plan's from one
+per (role, task), in step order, each release's noise from its own, addressed
+by (role, task, step[, block ids]). So two runs of one config are bitwise
+identical, and dp_cl and dp_agem coincide exactly at one memory block.
 
 A step makes its update in one gradient-sized buffer that never moves, and
 its noise and reference gradient in the noise source's two; run_stream makes
@@ -141,21 +141,24 @@ def _plan(cfg: TrainConfig, tasks):
     chosen block (agem, dp_cl) or every block (dp_agem), min(k, |block|)
     rows of each. The noise of a release that averages B clipped means has
     std sigma * beta / sqrt(B), that of the mean of B draws at sigma * beta.
-    Every row a step reads is drawn, and every std set, here."""
+    Every std is set here, and every row read is drawn here, from one
+    generator per (role, task) in step order, blocks in order within a step."""
     k, p, dp_agem = cfg.ref_batch_size, cfg.sampling_rate, cfg.mode is Mode.DP_AGEM
 
     def std(n_blocks):
         return cfg.noise.sigma / math.sqrt(n_blocks) * cfg.noise.clip_bound
 
     for task_id, n, sizes in tasks:
+        batch, block, ref_idx = (_rng(cfg.seed, role, task_id)
+                                 for role in (_ROLE_BATCH, _ROLE_BLOCK, _ROLE_REF_IDX))
         for step in range(cfg.steps_per_task):
-            train_rows = np.flatnonzero(_rng(cfg.seed, _ROLE_BATCH, task_id, step).random(n) < p)
+            train_rows = np.flatnonzero(batch.random(n) < p)
             if dp_agem or not sizes:  # every block, or none before task 2
                 ids = tuple(range(1, len(sizes) + 1))
             else:
-                ids = (1 + _rng(cfg.seed, _ROLE_BLOCK, task_id, step).integers(len(sizes)),)
-            rows = tuple(_rng(cfg.seed, _ROLE_REF_IDX, task_id, step, i).choice(
-                sizes[i - 1], size=min(k, sizes[i - 1]), replace=False) for i in ids)
+                ids = (1 + block.integers(len(sizes)),)
+            rows = tuple(ref_idx.choice(sizes[i - 1], size=min(k, sizes[i - 1]), replace=False)
+                         for i in ids)
             releases = (((_ROLE_TRAIN_NOISE, task_id, step), std(1)),)
             if ids:
                 releases += (((_ROLE_REF_NOISE, task_id, step, *ids), std(len(ids))),)

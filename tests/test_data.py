@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcl.data import load_idx_archive, make_permuted_stream, make_synthetic
+from dpcl.data import Dataset, load_idx_archive, make_permuted_stream, make_synthetic
 from dpcl.errors import ConfigError, ParseError
 
 from _oracles import (
@@ -148,6 +148,16 @@ def test_stream_rejects_test_set_of_another_feature_size(test_dim):
     base = make_synthetic(6, 3, 5, 0.6, seed=0)
     test = make_synthetic(test_dim, 3, 2, 0.6, seed=1)
     with pytest.raises(ConfigError, match="features"):
+        make_permuted_stream(base, 2, seed=0, test=test)
+
+
+@pytest.mark.parametrize("given_test", [False, True])
+def test_stream_rejects_examples_without_features(given_test):
+    """Examples of 0 features give a net no inputs, so the stream is refused
+    before any net is built, naming the feature dimension."""
+    base = Dataset(np.zeros((50, 0)), np.arange(50) % 3, 3)
+    test = Dataset(np.zeros((10, 0)), np.arange(10) % 3, 3) if given_test else None
+    with pytest.raises(ConfigError, match="0 features; the feature dimension must be >= 1"):
         make_permuted_stream(base, 2, seed=0, test=test)
 
 

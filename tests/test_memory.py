@@ -56,10 +56,11 @@ def test_cal_gref_oversized_batch_returns_whole_block():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_every_record_reads_distinct_rows_and_charges_their_share(mode):
-    """The training rows of every record are the rows of the task's
-    (_ROLE_BATCH, task, step) Bernoulli(p) mask, sorted, distinct and in
-    range, and the charge table built from the config charges the task's
-    training release p on every step. For every block a record reads:
+    """The training rows of every record are the rows of its step's
+    Bernoulli(p) mask, drawn in step order from the task's (_ROLE_BATCH,
+    task) generator, sorted, distinct and in range, and the charge table
+    built from the config charges the task's training release p on every
+    step. For every block a record reads:
     min(k, |block|) distinct rows in range, and the table charges the block
     share * rows / |block| on every step of the task, where share is 1 for
     dp_agem and one over the number of stored blocks otherwise; agem's
@@ -75,9 +76,10 @@ def test_every_record_reads_distinct_rows_and_charges_their_share(mode):
     charges = _ledger(cfg, sizes).charges
     if mode is Mode.AGEM:
         assert charges == {}
+    mask_rngs = {t: _rng(cfg.seed, _ROLE_BATCH, t) for t in range(1, 6)}
     for record in records:
         stored, n = record.task_id - 1, train_sizes[record.task_id - 1]
-        mask = _rng(cfg.seed, _ROLE_BATCH, record.task_id, record.step).random(n) < 0.1
+        mask = mask_rngs[record.task_id].random(n) < 0.1
         assert np.array_equal(record.train_rows, np.flatnonzero(mask))
         rows = record.train_rows
         assert np.array_equal(rows, np.unique(rows)) and np.all((rows >= 0) & (rows < n))

@@ -139,11 +139,19 @@ def train_package(stream, cfg):
     return run_stream(stream, cfg).net.params
 
 
-def ref_rows(cfg, task_id, step, block_id, size):
-    """The rows of a stored block that a reference release reads, drawn
-    from their own addressed stream."""
-    return _rng(cfg.seed, _ROLE_REF_IDX, task_id, step, block_id).choice(
-        size, size=min(cfg.ref_batch_size, size), replace=False)
+PLAN_ROLES = (_ROLE_BATCH, _ROLE_BLOCK, _ROLE_REF_IDX)
+
+
+def plan_generators(cfg, task_id):
+    """The generators task task_id's plan draws from, each in step order:
+    its training masks, its block choices and its reference rows."""
+    return [_rng(cfg.seed, role, task_id) for role in PLAN_ROLES]
+
+
+def ref_rows(cfg, ref_idx, size):
+    """The rows of a stored block that a reference release reads: the next
+    draw of its task's reference-row generator ref_idx."""
+    return ref_idx.choice(size, size=min(cfg.ref_batch_size, size), replace=False)
 
 
 def agem_reference_params(stream, cfg, dims):
@@ -152,24 +160,24 @@ def agem_reference_params(stream, cfg, dims):
     params = ref_net.params.copy()
     blocks = []
     for t, (train_split, ref_split, _) in enumerate(stream.tasks, start=1):
+        batch_rng, block_rng, ref_idx = plan_generators(cfg, t)
         for step in range(cfg.steps_per_task):
-            mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
+            mask = batch_rng.random(len(train_split)) < cfg.sampling_rate
             if mask.any():
                 batch = gathered(train_split, np.flatnonzero(mask))
                 g = nn.grad(ref_net, batch.x, batch.y)
             else:
                 g = np.zeros(ref_net.num_params)
             if t > 1:
-                choice = _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))
-                block_id, block = blocks[choice]
-                batch = gathered(block, ref_rows(cfg, t, step, block_id, len(block)))
+                block = blocks[block_rng.integers(len(blocks))]
+                batch = gathered(block, ref_rows(cfg, ref_idx, len(block)))
                 g_ref = nn.grad(ref_net, batch.x, batch.y)
                 denom = g_ref @ g_ref
                 if denom > 0:
                     g = g - (g @ g_ref) / denom * g_ref
             params = params - cfg.learning_rate * g
             ref_net.params[...] = params
-        blocks.append((t, ref_split))
+        blocks.append(ref_split)
     return params
 
 
@@ -181,8 +189,9 @@ def private_reference_params(stream, cfg, dims):
     params = ref_net.params.copy()
     for t, (train_split, _, _) in enumerate(stream.tasks, start=1):
         blocks = [ref for _, ref, _ in stream.tasks[:t - 1]]
+        batch_rng, block_rng, ref_idx = plan_generators(cfg, t)
         for step in range(cfg.steps_per_task):
-            mask = _rng(cfg.seed, _ROLE_BATCH, t, step).random(len(train_split)) < cfg.sampling_rate
+            mask = batch_rng.random(len(train_split)) < cfg.sampling_rate
             if mask.any():
                 batch = gathered(train_split, np.flatnonzero(mask))
                 g = nn.clipped_mean_grad(ref_net, batch.x, batch.y, beta)
@@ -193,8 +202,8 @@ def private_reference_params(stream, cfg, dims):
                 if cfg.mode is Mode.DP_AGEM:
                     ids = list(range(1, t))
                 else:
-                    ids = [1 + _rng(cfg.seed, _ROLE_BLOCK, t, step).integers(len(blocks))]
-                batches = [gathered(blocks[i - 1], ref_rows(cfg, t, step, i, len(blocks[i - 1])))
+                    ids = [1 + block_rng.integers(len(blocks))]
+                batches = [gathered(blocks[i - 1], ref_rows(cfg, ref_idx, len(blocks[i - 1])))
                            for i in ids]
                 address = (_ROLE_REF_NOISE, t, step, *ids)
                 if len(batches) == 1:
@@ -331,8 +340,11 @@ def test_empty_batch_steps_match_reference_loop_bitwise(mode, draw_ahead, monkey
     stream = TaskStream([(gathered(train, [0, 1]), ref, test)
                          for train, ref, test in stream.tasks])
     cfg = agem_cfg() if mode is Mode.AGEM else private_cfg(mode)
-    empty_steps = sum(not (_rng(cfg.seed, _ROLE_BATCH, t, step).random(2) < 0.25).any()
-                      for t in (1, 2) for step in range(cfg.steps_per_task))
+    empty_steps = 0
+    for t in (1, 2):
+        batch_rng = plan_generators(cfg, t)[0]
+        empty_steps += sum(not (batch_rng.random(2) < 0.25).any()
+                           for _ in range(cfg.steps_per_task))
     assert empty_steps > 0
     if draw_ahead:
         monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 0)
@@ -751,29 +763,47 @@ def test_lemma1_charges_block_one_what_each_later_task_paid_to_read_it():
     assert all(result.ledger.epsilon(t, (i,), 1e-4) > 0 for t, i in ((2, 1), (3, 1), (3, 2)))
 
 
+class RecordedGenerator:
+    """A generator that logs (its key..., method, on the main thread) for
+    each draw made from it into log."""
+
+    def __init__(self, key, generator, log):
+        self._key, self._generator, self._log = key, generator, log
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def recorded(*args, **kwargs):
+            self._log.append((*self._key, name,
+                              threading.current_thread() is threading.main_thread()))
+            return method(*args, **kwargs)
+        return recorded
+
+
 @pytest.mark.parametrize("mode", [Mode.DP_CL, Mode.DP_AGEM])
 def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
     """At 784-256-256-10, above the gate, the training mask, the block
-    choice and the reference rows are drawn on the main thread, by the plan;
-    the helper thread builds the noise streams' generators and no other.
+    choice and the reference rows are drawn on the main thread, by the plan,
+    from the three generators it builds there per task; the helper thread
+    builds the noise streams' generators and touches no other.
     With the gate raised, the same noise is drawn inline. Either way the
     source draws exactly the records' (address, std) pairs, in order, and
     the plan has yielded at most i + 2 records when step i (0-based) starts."""
     base = make_synthetic(784, 10, 10, 0.6, seed=1)
     stream = make_permuted_stream(base, 3, seed=1, ref_fraction=0.2)
     cfg = private_cfg(mode, hidden_dims=(256, 256), epochs_per_task=1, ref_batch_size=8)
-    built, records, drawn = [], [], []  # built: (role, on the main thread)
+    built, plan_draws, records, drawn = [], [], [], []  # built: (key, on the main thread)
     pulled = []  # the records the plan had yielded when each step started
     real_rng, real_noise_rng = trainer._rng, dp.rng
     real_plan, real_draw, real_step = trainer._plan, trainer.draw_noise, trainer._step
 
     def recorded_rng(seed, *key):
-        built.append((key[0], threading.current_thread() is threading.main_thread()))
-        return real_rng(seed, *key)
+        built.append((key, threading.current_thread() is threading.main_thread()))
+        return RecordedGenerator(key, real_rng(seed, *key), plan_draws)
 
     def recorded_noise_rng(seed, *key):
         if key[0] == 201:
-            built.append((201, threading.current_thread() is threading.main_thread()))
+            built.append((key, threading.current_thread() is threading.main_thread()))
         return real_noise_rng(seed, *key)
 
     def recorded_plan(cfg, tasks):
@@ -798,14 +828,13 @@ def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
     for draw_ahead in (True, False):
         if not draw_ahead:
             monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", 1 << 30)
-        for seen in (built, records, drawn, pulled):
+        for seen in (built, plan_draws, records, drawn, pulled):
             seen.clear()
         run_stream(stream, cfg)
-        roles = {role for role, _ in built}
-        assert {_ROLE_BATCH, _ROLE_REF_IDX, 201} <= roles
-        assert (_ROLE_BLOCK in roles) is (mode is Mode.DP_CL)
-        assert all(on_main for role, on_main in built if role != 201)
-        assert [on_main for role, on_main in built if role == 201] == [not draw_ahead] * releases
+        plan_built = [(key, on_main) for key, on_main in built if key[0] != 201]
+        assert plan_built == [((role, t), True) for t in (1, 2, 3) for role in PLAN_ROLES]
+        assert plan_draws and all(on_main for *_, on_main in plan_draws)
+        assert [on_main for key, on_main in built if key[0] == 201] == [not draw_ahead] * releases
         assert drawn == [release for record in records for release in record.releases]
         assert len(pulled) == 3 * 4 and all(n <= i + 2 for i, n in enumerate(pulled))
 
@@ -813,29 +842,85 @@ def test_helper_thread_draws_noise_and_nothing_else(mode, monkeypatch):
 @pytest.mark.parametrize("gate", [0, 1 << 16])
 @pytest.mark.parametrize("mode", list(Mode))
 def test_block_choice_is_drawn_once_per_reference_release(mode, gate, monkeypatch):
-    """The (_ROLE_BLOCK, task, step) generator is built once for each step
-    that reads a memory, by the plan alone; dp_agem reads every block and
-    draws no choice. The (_ROLE_REF_IDX, task, step, block) generator is
-    built once for each block a step reads. Gate 0 draws the noise on the
+    """The plan builds each task's mask, block-choice and reference-row
+    generators once, when the task starts. The block choice is drawn once
+    for each step that reads a memory, from its task's (_ROLE_BLOCK, task)
+    generator; dp_agem reads every block and draws no choice. The
+    reference rows are drawn once for each block a step reads, the mask
+    once per step, all on the main thread. Gate 0 draws the noise on the
     helper thread."""
     monkeypatch.setattr(trainer, "_DRAW_AHEAD_MIN_PARAMS", gate)
-    built, rows_built = [], []
+    built, draws = [], []
     real = trainer._rng
 
     def counted(seed, *key):
-        if key[0] == _ROLE_BLOCK:
-            built.append(key[1:])
-        elif key[0] == _ROLE_REF_IDX:
-            rows_built.append(key[1:3])
-        return real(seed, *key)
+        built.append(key)
+        return RecordedGenerator(key, real(seed, *key), draws)
 
     monkeypatch.setattr(trainer, "_rng", counted)
     cfg = agem_cfg(epochs_per_task=2) if mode is Mode.AGEM else private_cfg(mode, epochs_per_task=2)
     run_stream(small_stream(3), cfg)
-    reads = [(t, step) for t in (2, 3) for step in range(cfg.steps_per_task)]
-    assert built == ([] if mode is Mode.DP_AGEM else reads)
-    blocks_read = (lambda t: t - 1) if mode is Mode.DP_AGEM else (lambda t: 1)
-    assert rows_built == [(t, step) for t, step in reads for _ in range(blocks_read(t))]
+    assert built == [(role, t) for t in (1, 2, 3) for role in PLAN_ROLES]
+    steps = cfg.steps_per_task
+    expected = Counter({(_ROLE_BATCH, t, "random"): steps for t in (1, 2, 3)})
+    for t in (2, 3):
+        if mode is not Mode.DP_AGEM:
+            expected[_ROLE_BLOCK, t, "integers"] = steps
+        expected[_ROLE_REF_IDX, t, "choice"] = steps * (t - 1 if mode is Mode.DP_AGEM else 1)
+    assert Counter((role, t, method) for role, t, method, _ in draws) == expected
+    assert all(on_main for *_, on_main in draws)
+
+
+def plan_of_five_tasks(mode, epochs_per_task):
+    """A config and five (task_id, training size, stored block sizes)
+    triples, some blocks smaller than k and one training split empty."""
+    sizes, train_sizes = [3, 7, 12, 5, 9], [30, 0, 12, 25, 40]
+    cfg = TrainConfig(mode=mode, sampling_rate=0.25, ref_batch_size=6,
+                      epochs_per_task=epochs_per_task, seed=5)
+    return cfg, [(t, train_sizes[t - 1], sizes[:t - 1]) for t in range(1, 6)]
+
+
+def assert_same_records(records, expected):
+    assert len(records) == len(expected)
+    for r, e in zip(records, expected):
+        assert (r.task_id, r.step, r.block_ids, r.releases) == (e.task_id, e.step, e.block_ids,
+                                                                 e.releases)
+        assert r.train_rows.dtype == e.train_rows.dtype
+        assert np.array_equal(r.train_rows, e.train_rows)
+        assert len(r.ref_rows) == len(e.ref_rows)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(r.ref_rows, e.ref_rows))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_tasks_records_depend_only_on_the_seed_the_task_and_its_sizes(mode):
+    """The plan of tasks k+1.. alone yields, bitwise, the full plan's records
+    from task k+1 on: training rows, block ids, reference rows and releases.
+    So a run can resume its plan at any task boundary."""
+    cfg, tasks = plan_of_five_tasks(mode, epochs_per_task=2)
+    full = list(trainer._plan(cfg, tasks))
+    assert any(len(r.train_rows) for r in full) and any(len(r.block_ids) > 0 for r in full)
+    for k in range(1, len(tasks)):
+        assert_same_records(list(trainer._plan(cfg, tasks[k:])),
+                            [r for r in full if r.task_id > k])
+
+
+@pytest.mark.parametrize("epochs_per_task", [1, 3])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_plan_builds_three_generators_per_task(mode, epochs_per_task, monkeypatch):
+    """_plan builds one generator per (role, task), three per task, however
+    many steps a task takes."""
+    built = []
+    real = trainer._rng
+
+    def counted(seed, *key):
+        built.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(trainer, "_rng", counted)
+    cfg, tasks = plan_of_five_tasks(mode, epochs_per_task)
+    assert len(list(trainer._plan(cfg, tasks))) == 5 * 4 * epochs_per_task
+    assert built == [(role, t) for t in range(1, 6) for role in PLAN_ROLES]
 
 
 @pytest.mark.parametrize("gate", [0, 1 << 16])
@@ -967,8 +1052,8 @@ def test_dp_agem_noiseless_ref_gradient_is_the_mean_of_block_clipped_means():
     cfg = TrainConfig(mode=Mode.DP_AGEM, noise=NoiseConfig(sigma=0.0, clip_bound=0.05),
                       hidden_dims=(8,), ref_batch_size=9, seed=4)
     net = nn.DenseNet.create([blocks[0].feature_dim, 8, 3], seed=cfg.seed)
-    batches = [gathered(block, ref_rows(cfg, 4, 0, block_id, len(block)))
-               for block_id, block in enumerate(blocks, start=1)]
+    _, _, ref_idx = plan_generators(cfg, 4)  # step 0 reads blocks 1, 2, 3 in order
+    batches = [gathered(block, ref_rows(cfg, ref_idx, len(block))) for block in blocks]
     expected = np.mean([nn.clipped_mean_grad(net, b.x, b.y, cfg.noise.clip_bound)
                         for b in batches], axis=0)
     g_ref, _ = released_ref_grad(net, blocks, 4, 0, cfg)
